@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 MAX_ARITY = 24
 
@@ -56,6 +57,25 @@ class BoolFn:
         return (self.table >> x) & 1
 
     __call__ = evaluate
+
+    @cached_property
+    def bits(self):
+        """Truth table as a read-only uint8 array whose entry x is f(x)."""
+        import numpy as np
+
+        raw = np.frombuffer(self.table.to_bytes((self.size + 7) // 8, "little"),
+                            dtype=np.uint8)
+        bits = np.unpackbits(raw, count=self.size, bitorder="little")
+        bits.flags.writeable = False
+        return bits
+
+    @classmethod
+    def from_bits(cls, arity: int, bits) -> "BoolFn":
+        """Inverse of ``bits``: the function whose value at x is bits[x]."""
+        import numpy as np
+
+        packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+        return cls(arity, int.from_bytes(packed.tobytes(), "little"))
 
     def negate(self) -> "BoolFn":
         return BoolFn(self.arity, self.table ^ ((1 << self.size) - 1))

@@ -41,6 +41,7 @@ from .theorems import (
     check_mand,
     check_mxor,
     check_relax,
+    rational_cells,
     sweep_mand,
     sweep_mxor,
 )
@@ -165,14 +166,6 @@ def _emit(lines: list[str], path: str | None):
         sys.stdout.write(text)
 
 
-def _rat_cells(value) -> list[str]:
-    if isinstance(value, Fraction):
-        den = value.denominator
-        if den & (den - 1) == 0:
-            return [str(value.numerator), str(den.bit_length() - 1)]
-    return [repr(float(value)), ""]
-
-
 INDEX_HEADER = ("mechanism,agenda,index,issue,mode,value_num,value_log2den,"
                 "samples,ci_low,ci_high,seed")
 
@@ -180,7 +173,7 @@ INDEX_HEADER = ("mechanism,agenda,index,issue,mode,value_num,value_log2den,"
 def _index_row(mech_id: str, agenda_id: str, kind: str, issue, report) -> str:
     cells = [mech_id, agenda_id, kind, "" if issue is None else str(issue),
              report.mode]
-    cells += _rat_cells(report.value)
+    cells += rational_cells(report.value)
     cells += ["" if report.samples is None else str(report.samples)]
     if report.ci is None:
         cells += ["", ""]
@@ -258,7 +251,7 @@ def _cmd_oracle(args) -> int:
     member, distance = nearest_ci(F, agenda, args.voters, family)
     lines = ["mechanism,distance_num,distance_log2den"]
     lines.append(",".join([member.serialize().replace("\n", ";")]
-                          + _rat_cells(distance)))
+                          + rational_cells(distance)))
     _emit(lines, args.output)
     return 0
 

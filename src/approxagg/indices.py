@@ -1,10 +1,10 @@
 """Inconsistency and dependency indices, exact and by Monte Carlo.
 
-Exact values are Fractions obtained from full enumeration of the profile
-space.  Conjunction-style agendas additionally get an O(m n 2^n) path
-via zeta/Moebius transforms over the subset lattice, and xor-style
-agendas one via integer Walsh-Hadamard sums; both are cross-checked
-against plain enumeration in the test suite.
+Exact values are Fractions counted over the whole profile space, held as
+numpy arrays of issue columns and outputs.  Conjunction-style agendas
+additionally get an O(m n 2^n) path via zeta/Moebius transforms over the
+subset lattice, and xor-style agendas one via integer Walsh-Hadamard sums;
+both are cross-checked against plain enumeration in the test suite.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from .mechanism import (
     Profile,
     TableMechanism,
     _outputs_for_samples,
+    _profile_columns,
     apply,
+    consistent_mask,
     hoeffding_halfwidth,
     output_vector,
-    profile_column,
     sample_profiles,
 )
 
@@ -48,20 +49,18 @@ def inconsistency_index(F: Mechanism, agenda: Agenda, voters: int,
                         seed: int | None = None) -> IndexReport:
     """Probability that the aggregate of a uniform consistent profile is
     inconsistent."""
+    import numpy as np
+
     if mode == "exact":
         outputs = output_vector(F, agenda, voters)
-        bad = sum(1 for out in outputs if not agenda.is_consistent(out))
-        return IndexReport(Fraction(bad, len(outputs)), "exact")
+        bad = np.count_nonzero(~consistent_mask(agenda)[outputs])
+        return IndexReport(Fraction(int(bad), len(outputs)), "exact")
     if mode == "mc":
         if seed is None:
             raise ValueError("mc mode requires a seed")
-        import numpy as np
-
         rows = sample_profiles(agenda, voters, samples, seed)
         outs = _outputs_for_samples(F, agenda, rows)
-        member = np.zeros(1 << agenda.issues, dtype=bool)
-        member[list(agenda.consistent)] = True
-        estimate = float((~member[outs]).mean())
+        estimate = float((~consistent_mask(agenda)[outs]).mean())
         half = hoeffding_halfwidth(samples)
         return IndexReport(estimate, "mc", samples,
                            (max(0.0, estimate - half), min(1.0, estimate + half)), seed)
@@ -153,15 +152,22 @@ def min_ic_over_conclusion(premise_fns: list[BoolFn]) -> tuple[Fraction, BoolFn]
 # dependency index
 
 
-def _column_groups(agenda: Agenda, voters: int, j: int) -> dict[int, list[int]]:
-    """Profile indices grouped by the issue-j column value."""
-    from .mechanism import _profile_columns
+def _column_groups(agenda: Agenda, voters: int, j: int, outputs):
+    """(2^n, 2) array: row z counts the profiles whose issue-j column is z
+    and whose issue-j output is 0 (first entry) or 1 (second)."""
+    import numpy as np
 
-    cols = _profile_columns(agenda, voters)
-    groups: dict[int, list[int]] = {}
-    for idx, tup in enumerate(cols):
-        groups.setdefault(tup[j - 1], []).append(idx)
-    return groups
+    key = _profile_columns(agenda, voters)[j - 1].astype(np.intp)
+    key <<= 1
+    key |= (outputs >> (j - 1)) & 1
+    return np.bincount(key, minlength=2 << voters).reshape(-1, 2)
+
+
+def _majority_bits(groups):
+    """Per column value: whether issue-j outputs 1 on at least half of the
+    profiles with that column (columns no profile has give False)."""
+    counts = groups.sum(axis=1)
+    return (counts > 0) & (2 * groups[:, 1] >= counts)
 
 
 def dependency_index(F: Mechanism, agenda: Agenda, voters: int, j: int,
@@ -172,14 +178,19 @@ def dependency_index(F: Mechanism, agenda: Agenda, voters: int, j: int,
     if not 1 <= j <= agenda.issues:
         raise ValueError(f"issue {j} out of range")
     if mode == "exact":
+        import numpy as np
+
         outputs = output_vector(F, agenda, voters)
-        total = len(outputs)
+        groups = _column_groups(agenda, voters, j, outputs)
+        zeros, ones = groups[:, 0], groups[:, 1]
+        counts = zeros + ones
+        # sum 2 ones zeros / count over column values, one Fraction per
+        # distinct count; each int64 sum stays below total^2 <= 2^52
         acc = Fraction(0)
-        for idxs in _column_groups(agenda, voters, j).values():
-            ones = sum((outputs[i] >> (j - 1)) & 1 for i in idxs)
-            zeros = len(idxs) - ones
-            acc += Fraction(2 * ones * zeros, len(idxs))
-        return IndexReport(acc / total, "exact")
+        for count in np.unique(counts[counts > 0]).tolist():
+            same = counts == count
+            acc += Fraction(2 * int(np.dot(ones[same], zeros[same])), count)
+        return IndexReport(acc / len(outputs), "exact")
     if mode == "mc":
         if seed is None:
             raise ValueError("mc mode requires a seed")
@@ -250,40 +261,30 @@ def nearest_consistent(F: Mechanism, agenda: Agenda, voters: int) -> TableMechan
     (Hamming distance, ties to the smallest opinion); the redirected
     mechanism is consistent and differs from F on exactly the inconsistent
     profiles."""
-    outputs = []
-    for out in output_vector(F, agenda, voters):
-        if agenda.is_consistent(out):
-            outputs.append(out)
-        else:
-            outputs.append(min(agenda.consistent,
-                               key=lambda c: (popcount(c ^ out), c)))
-    return TableMechanism(agenda, voters, tuple(outputs))
+    import numpy as np
+
+    values, where = np.unique(output_vector(F, agenda, voters), return_inverse=True)
+    nearest = [out if agenda.is_consistent(out)
+               else min(agenda.consistent, key=lambda c: (popcount(c ^ out), c))
+               for out in values.tolist()]
+    return TableMechanism(agenda, voters, np.asarray(nearest)[where])
 
 
 def fix_issue_dependency(F: Mechanism, agenda: Agenda, voters: int, j: int) -> TableMechanism:
     """Make issue j depend only on its own column: output bit j becomes the
     majority answer of F over profiles sharing the column (ties to 1)."""
-    outputs = list(output_vector(F, agenda, voters))
-    bit = 1 << (j - 1)
-    for idxs in _column_groups(agenda, voters, j).values():
-        ones = sum(1 for i in idxs if outputs[i] & bit)
-        value = bit if 2 * ones >= len(idxs) else 0
-        for i in idxs:
-            outputs[i] = (outputs[i] & ~bit) | value
-    return TableMechanism(agenda, voters, tuple(outputs))
+    outputs = output_vector(F, agenda, voters)
+    ones_win = _majority_bits(_column_groups(agenda, voters, j, outputs))
+    column = _profile_columns(agenda, voters)[j - 1]
+    others = outputs & (((1 << agenda.issues) - 1) ^ (1 << (j - 1)))
+    return TableMechanism(agenda, voters,
+                          others | ones_win[column].astype(outputs.dtype) << (j - 1))
 
 
 def independent_approximation(F: Mechanism, agenda: Agenda, voters: int) -> IndependentMechanism:
     """Independent mechanism whose issue-j function answers the majority of
     F's issue-j outputs over profiles with a given column (ties to 1)."""
     outputs = output_vector(F, agenda, voters)
-    fns = []
-    for j in range(1, agenda.issues + 1):
-        bit = 1 << (j - 1)
-        table = 0
-        for col, idxs in _column_groups(agenda, voters, j).items():
-            ones = sum(1 for i in idxs if outputs[i] & bit)
-            if 2 * ones >= len(idxs):
-                table |= 1 << col
-        fns.append(BoolFn(voters, table))
-    return IndependentMechanism(tuple(fns))
+    return IndependentMechanism(tuple(
+        BoolFn.from_bits(voters, _majority_bits(_column_groups(agenda, voters, j, outputs)))
+        for j in range(1, agenda.issues + 1)))

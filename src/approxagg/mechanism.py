@@ -4,6 +4,12 @@ A profile is one opinion per voter; profiles are indexed by treating the
 voters' opinion indices as digits base |agenda| (voter 1 least
 significant).  Independent mechanisms hold one boolean function per
 issue; table mechanisms list an explicit m-bit output per profile.
+
+The exact paths hold the whole profile space as numpy arrays: the issue
+columns of every profile and a mechanism's output for every profile, both
+in profile-index order.  numpy is imported inside the functions that use
+it, so that importing the package and the commands that need no profile
+space do not load it.
 """
 
 from __future__ import annotations
@@ -17,6 +23,11 @@ from functools import lru_cache
 from .agenda import Agenda
 from .bitfn import BoolFn, constant, linear, majority, oligarchy
 
+# Per profile the exact paths hold the m issue columns, each in the smallest
+# unsigned type with n bits (1, 2 or 4 bytes), and one output in the smallest
+# with m bits (1 or 2 bytes); looking a column up adds an 8-byte index while
+# it runs.  conjunction:2 at 12 voters takes 3*2 + 1 + 8 = 15 bytes a profile,
+# and such an agenda at the budget about 1 GB.
 EXACT_PROFILE_BUDGET = 1 << 26
 
 
@@ -56,15 +67,28 @@ def systematic(f: BoolFn, issues: int) -> IndependentMechanism:
     return IndependentMechanism((f,) * issues)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableMechanism:
     agenda: Agenda
     voters: int
-    outputs: tuple[int, ...]  # m-bit opinion per profile index
+    outputs: np.ndarray  # m-bit opinion per profile index, read-only
 
     def __post_init__(self):
-        if len(self.outputs) != len(self.agenda.consistent) ** self.voters:
+        import numpy as np
+
+        outputs = np.array(self.outputs, dtype=_uint_dtype(self.agenda.issues))
+        if outputs.shape != (len(self.agenda.consistent) ** self.voters,):
             raise ValueError("output table size does not match the profile space")
+        outputs.flags.writeable = False
+        object.__setattr__(self, "outputs", outputs)
+
+    def __eq__(self, other):
+        import numpy as np
+
+        if not isinstance(other, TableMechanism):
+            return NotImplemented
+        return (self.agenda == other.agenda and self.voters == other.voters
+                and bool(np.array_equal(self.outputs, other.outputs)))
 
     @property
     def issues(self) -> int:
@@ -75,7 +99,7 @@ class TableMechanism:
 
         lines = [f"table n={self.voters}"]
         lines += [f"{i},{opinion_to_str(out, self.issues)}"
-                  for i, out in enumerate(self.outputs)]
+                  for i, out in enumerate(self.outputs.tolist())]
         return "\n".join(lines)
 
 
@@ -83,7 +107,11 @@ Mechanism = IndependentMechanism | TableMechanism
 
 
 def parse_mechanism(text: str, agenda: Agenda | None = None) -> Mechanism:
-    """Inverse of the serialize methods; table mechanisms need their agenda."""
+    """Inverse of the serialize methods; table mechanisms need their agenda.
+
+    A table must list every profile index exactly once, each with an
+    opinion of m issue bits.
+    """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty mechanism text")
@@ -93,15 +121,30 @@ def parse_mechanism(text: str, agenda: Agenda | None = None) -> Mechanism:
     if head.startswith("table"):
         if agenda is None:
             raise ValueError("table mechanisms need an agenda to parse against")
-        kv = dict(tok.split("=", 1) for tok in head.split()[1:])
-        voters = int(kv["n"])
-        outputs = [0] * (len(agenda.consistent) ** voters)
         from .agenda import opinion_from_str
 
+        kv = dict(tok.split("=", 1) for tok in head.split()[1:])
+        if "n" not in kv:
+            raise ValueError("table header needs n=<voters>")
+        voters = int(kv["n"])
+        size = len(agenda.consistent) ** voters
+        outputs: dict[int, int] = {}
         for ln in body:
-            idx, bits = ln.split(",")
-            outputs[int(idx)] = opinion_from_str(bits)
-        return TableMechanism(agenda, voters, tuple(outputs))
+            idx_text, bits = ln.split(",")
+            idx, out = int(idx_text), opinion_from_str(bits)
+            if not 0 <= idx < size:
+                raise ValueError(f"table row {idx} is outside the profile space "
+                                 f"0..{size - 1}")
+            if len(bits) != agenda.issues:
+                raise ValueError(f"table row {idx}: opinion {bits!r} does not "
+                                 f"have {agenda.issues} issues")
+            if idx in outputs:
+                raise ValueError(f"table row {idx} is listed twice")
+            outputs[idx] = out
+        if len(outputs) != size:
+            missing = next(i for i in range(size) if i not in outputs)
+            raise ValueError(f"table misses row {missing} of 0..{size - 1}")
+        return TableMechanism(agenda, voters, [outputs[i] for i in range(size)])
     raise ValueError(f"unknown mechanism header {head!r}")
 
 
@@ -130,17 +173,66 @@ def profile_column(agenda: Agenda, profile: Profile, j: int) -> int:
     return col
 
 
-@lru_cache(maxsize=64)
-def _profile_columns(agenda: Agenda, voters: int) -> list[tuple[int, ...]]:
-    """Per profile index, the tuple of issue columns."""
+def _uint_dtype(bits: int):
+    """Smallest unsigned numpy type holding a `bits`-bit value."""
+    import numpy as np
+
+    return np.min_scalar_type((1 << bits) - 1)
+
+
+def _issue_bits(agenda: Agenda, voters: int):
+    """(m, |A|) array: entry [j-1, r] is issue j's bit in consistent opinion r,
+    in the column type for `voters` voters."""
+    import numpy as np
+
+    opinions = np.asarray(agenda.consistent)
+    shifts = np.arange(agenda.issues)[:, None]
+    return ((opinions[None, :] >> shifts) & 1).astype(_uint_dtype(voters))
+
+
+@lru_cache(maxsize=2)
+def _profile_columns(agenda: Agenda, voters: int):
+    """Read-only (m, |A|^n) array: entry [j-1, idx] is the issue-j column of
+    profile idx (voter 1 = bit 0)."""
     base = len(agenda.consistent)
     total = base**voters
     if total > EXACT_PROFILE_BUDGET:
         raise ValueError(f"profile space {total} exceeds the enumeration budget")
-    out = []
-    for idx in range(total):
-        p = profile_from_index(agenda, voters, idx)
-        out.append(tuple(profile_column(agenda, p, j) for j in range(1, agenda.issues + 1)))
+    import numpy as np
+
+    planes = _issue_bits(agenda, voters)
+    cols = np.zeros((agenda.issues, 1), dtype=planes.dtype)
+    for i in range(voters):
+        # voter i+1 is base-|A| digit i, the slowest axis so far
+        cols = ((planes[:, :, None] << i) | cols[:, None, :]).reshape(agenda.issues, -1)
+    cols.flags.writeable = False
+    return cols
+
+
+def consistent_mask(agenda: Agenda):
+    """Boolean array over all 2^m opinions, true on the consistent ones."""
+    import numpy as np
+
+    member = np.zeros(1 << agenda.issues, dtype=bool)
+    member[list(agenda.consistent)] = True
+    return member
+
+
+def _check_shape(F: Mechanism, agenda: Agenda, voters: int):
+    if isinstance(F, TableMechanism):
+        if F.agenda != agenda or F.voters != voters:
+            raise ValueError("mechanism does not match agenda or voter count")
+    elif F.issues != agenda.issues or F.voters != voters:
+        raise ValueError("dimension mismatch")
+
+
+def _evaluate(fns: tuple[BoolFn, ...], cols):
+    """Outputs of independent issue functions on an (m, k) column array."""
+    import numpy as np
+
+    out = np.zeros(cols.shape[1], dtype=_uint_dtype(len(fns)))
+    for j, fn in enumerate(fns):
+        out |= np.take(fn.bits, cols[j]).astype(out.dtype, copy=False) << j
     return out
 
 
@@ -152,7 +244,7 @@ def apply(F: Mechanism, agenda: Agenda, profile: Profile) -> int:
     if isinstance(F, TableMechanism):
         if F.agenda != agenda or len(profile.rows) != F.voters:
             raise ValueError("mechanism does not match agenda or voter count")
-        return F.outputs[profile_index(agenda, profile)]
+        return F.outputs.item(profile_index(agenda, profile))
     if F.issues != agenda.issues or len(profile.rows) != F.voters:
         raise ValueError("dimension mismatch")
     out = 0
@@ -161,21 +253,13 @@ def apply(F: Mechanism, agenda: Agenda, profile: Profile) -> int:
     return out
 
 
-def output_vector(F: Mechanism, agenda: Agenda, voters: int) -> tuple[int, ...]:
-    """Outputs over the whole profile space, in profile-index order."""
+def output_vector(F: Mechanism, agenda: Agenda, voters: int):
+    """Outputs over the whole profile space as an array in profile-index
+    order (read-only for table mechanisms)."""
+    _check_shape(F, agenda, voters)
     if isinstance(F, TableMechanism):
-        if F.agenda != agenda or F.voters != voters:
-            raise ValueError("mechanism does not match agenda or voter count")
         return F.outputs
-    cols = _profile_columns(agenda, voters)
-    fns = F.fns
-    out = []
-    for col_tuple in cols:
-        bits = 0
-        for j, col in enumerate(col_tuple):
-            bits |= fns[j].evaluate(col) << j
-        out.append(bits)
-    return tuple(out)
+    return _evaluate(F.fns, _profile_columns(agenda, voters))
 
 
 def as_table(F: Mechanism, agenda: Agenda, voters: int) -> TableMechanism:
@@ -190,10 +274,11 @@ def as_table(F: Mechanism, agenda: Agenda, voters: int) -> TableMechanism:
 
 def mech_distance_exact(F: Mechanism, G: Mechanism, agenda: Agenda, voters: int) -> Fraction:
     """Pr[F(X) != G(X)] over uniform consistent profiles, exactly."""
+    import numpy as np
+
     a = output_vector(F, agenda, voters)
     b = output_vector(G, agenda, voters)
-    disagreements = sum(1 for x, y in zip(a, b) if x != y)
-    return Fraction(disagreements, len(a))
+    return Fraction(int(np.count_nonzero(a != b)), len(a))
 
 
 def hoeffding_halfwidth(samples: int, confidence: float = 0.99) -> float:
@@ -213,25 +298,18 @@ def _outputs_for_samples(F: Mechanism, agenda: Agenda, rows):
     import numpy as np
 
     samples, voters = rows.shape
+    _check_shape(F, agenda, voters)
     if isinstance(F, TableMechanism):
         base = len(agenda.consistent)
         idx = np.zeros(samples, dtype=np.int64)
         for i in range(voters - 1, -1, -1):
             idx = idx * base + rows[:, i]
-        table = np.asarray(F.outputs, dtype=np.int64)
-        return table[idx]
-    opinions = np.asarray(agenda.consistent, dtype=np.int64)
-    out = np.zeros(samples, dtype=np.int64)
-    for j in range(agenda.issues):
-        bits = (opinions[rows] >> j) & 1
-        cols = np.zeros(samples, dtype=np.int64)
-        for i in range(voters):
-            cols |= bits[:, i] << i
-        fn = F.fns[j]
-        table = np.fromiter(((fn.table >> x) & 1 for x in range(fn.size)),
-                            dtype=np.int64, count=fn.size)
-        out |= table[cols] << j
-    return out
+        return F.outputs[idx]
+    planes = _issue_bits(agenda, voters)
+    cols = np.zeros((agenda.issues, samples), dtype=planes.dtype)
+    for i in range(voters):
+        cols |= np.take(planes << i, rows[:, i], axis=1)
+    return _evaluate(F.fns, cols)
 
 
 def mech_distance_mc(F: Mechanism, G: Mechanism, agenda: Agenda, voters: int,
@@ -253,25 +331,24 @@ def perturb(F: Mechanism, agenda: Agenda, voters: int, flip_rate: float, seed: i
     probability flip_rate (the replacement may be inconsistent)."""
     if not 0 <= flip_rate <= 1:
         raise ValueError("flip rate must lie in [0, 1]")
-    base = output_vector(F, agenda, voters)
+    outputs = output_vector(F, agenda, voters).tolist()
     rng = random.Random(seed)
     m = agenda.issues
-    outputs = []
-    for out in base:
+    # one draw per profile in index order, plus one more per rewrite: the
+    # stream, and so each seeded table, depends on this order
+    for idx in range(len(outputs)):
         if rng.random() < flip_rate:
-            outputs.append(rng.randrange(1 << m))
-        else:
-            outputs.append(out)
-    return TableMechanism(agenda, voters, tuple(outputs))
+            outputs[idx] = rng.randrange(1 << m)
+    return TableMechanism(agenda, voters, outputs)
 
 
 def flip_profiles(F: Mechanism, agenda: Agenda, voters: int,
                   new_outputs: dict[int, int]) -> TableMechanism:
     """Override outputs at explicit profile indices."""
-    outputs = list(output_vector(F, agenda, voters))
+    outputs = output_vector(F, agenda, voters).copy()
     for idx, out in new_outputs.items():
         outputs[idx] = out
-    return TableMechanism(agenda, voters, tuple(outputs))
+    return TableMechanism(agenda, voters, outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .mechanism import (
     IndependentMechanism,
     Mechanism,
     closed_families,
-    mech_distance_exact,
+    consistent_mask,
     output_vector,
 )
 
@@ -68,23 +68,13 @@ def enumerate_ci(agenda: Agenda, voters: int, agenda_id: str = "",
 
 def _enumerate_generic(agenda: Agenda, voters: int,
                        n_tables: int) -> list[IndependentMechanism]:
-    from .mechanism import _profile_columns
-
-    cols = _profile_columns(agenda, voters)
-    consistent = set(agenda.consistent)
+    member = consistent_mask(agenda)
     members = []
     fns = [BoolFn(voters, t) for t in range(n_tables)]
     for tup in itertools.product(fns, repeat=agenda.issues):
-        ok = True
-        for col_tuple in cols:
-            out = 0
-            for j, col in enumerate(col_tuple):
-                out |= ((tup[j].table >> col) & 1) << j
-            if out not in consistent:
-                ok = False
-                break
-        if ok:
-            members.append(IndependentMechanism(tup))
+        F = IndependentMechanism(tup)
+        if member[output_vector(F, agenda, voters)].all():
+            members.append(F)
     return members
 
 
@@ -144,16 +134,14 @@ def nearest_ci(F: Mechanism, agenda: Agenda, voters: int,
                family: CIFamily) -> tuple[IndependentMechanism, Fraction]:
     """Closest family member under the exact profile-distance; ties broken by
     serialization order (the family is stored sorted)."""
+    import numpy as np
+
     assert family.mechanisms, "consistent-independent family cannot be empty"
     target = output_vector(F, agenda, voters)
-    best = None
-    best_count = None
-    for mech in family.mechanisms:
-        count = sum(1 for a, b in zip(target, output_vector(mech, agenda, voters))
-                    if a != b)
-        if best_count is None or count < best_count:
-            best, best_count = mech, count
-    return best, Fraction(best_count, len(target))
+    members = np.stack([output_vector(mech, agenda, voters) for mech in family.mechanisms])
+    counts = np.count_nonzero(members != target, axis=1)
+    best = int(np.argmin(counts))  # the first of equal counts
+    return family.mechanisms[best], Fraction(int(counts[best]), len(target))
 
 
 def verify_characterization(kind: str, n: int) -> tuple[bool, dict[str, list[str]]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from .mechanism import (
     IndependentMechanism,
     Mechanism,
     closed_families,
+    consistent_mask,
     mech_distance_exact,
     output_vector,
 )
@@ -74,19 +76,30 @@ class BoundReport:
         return "satisfied" if ok else "violated"
 
     def csv_row(self) -> list[str]:
-        def rat(x):
-            if x is None:
-                return ["", ""]
-            frac = Fraction(x)
-            den = frac.denominator
-            if den & (den - 1):
-                return [f"{float(frac)!r}", ""]
-            return [str(frac.numerator), str(den.bit_length() - 1)]
-
         return ([self.claim, self.agenda_id, str(self.voters), str(self.issues)]
-                + rat(self.ic) + rat(self.di) + rat(self.distance)
+                + rational_cells(self.ic) + rational_cells(self.di)
+                + rational_cells(self.distance)
                 + ["" if self.bound is None else repr(float(self.bound)),
                    self.status, self.witness])
+
+
+def rational_cells(x) -> list[str]:
+    """A value as its (numerator, log2 denominator) CSV cell pair.
+
+    A Fraction whose denominator is a power of two gives p and k for p/2^k;
+    any other Fraction gives "p/q" and an empty second cell, and a float
+    (a Monte Carlo estimate) its repr and an empty cell.  None gives two
+    empty cells.
+    """
+    if x is None:
+        return ["", ""]
+    if isinstance(x, float):
+        return [repr(x), ""]
+    frac = Fraction(x)
+    den = frac.denominator
+    if den & (den - 1):
+        return [f"{frac.numerator}/{den}", ""]
+    return [str(frac.numerator), str(den.bit_length() - 1)]
 
 
 CSV_HEADER = ["claim", "agenda", "n", "m", "ic_num", "ic_logden", "di_num",
@@ -142,15 +155,7 @@ def sweep_mand(m_premises: int, n: int, workers: int = 1):
     """
     n_tables = 1 << (1 << n)
     total = n_tables ** (m_premises + 1)
-    chunks = _chunk_ranges(n_tables, workers)
-    args = [(m_premises, n, lo, hi) for lo, hi in chunks]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_sweep_mand_chunk, args)
-    else:
-        parts = [_sweep_mand_chunk(a) for a in args]
+    parts = _map_chunks(_sweep_mand_chunk, (m_premises, n), n_tables, workers)
     violations = [v for part in parts for v in part]
     return total, violations
 
@@ -158,8 +163,7 @@ def sweep_mand(m_premises: int, n: int, workers: int = 1):
 def _sweep_mand_chunk(args):
     m_premises, n, lo, hi = args
     agenda = conjunction_agenda(m_premises).expand()
-    family = closed_families(f"conjunction:{m_premises}", n)
-    family_outputs = [output_vector(g, agenda, n) for g in family]
+    family_outputs = _family_outputs(f"conjunction:{m_premises}", agenda, n)
     n_tables = 1 << (1 << n)
     violations = []
     fns = [BoolFn(n, t) for t in range(n_tables)]
@@ -172,8 +176,7 @@ def _sweep_mand_chunk(args):
                 continue
             F = IndependentMechanism(tup)
             target = output_vector(F, agenda, n)
-            best = min(sum(1 for a, b in zip(target, out) if a != b)
-                       for out in family_outputs)
+            best = _fewest_mismatches(family_outputs, target)
             if best and not best / len(target) < bound:
                 violations.append(_one_line(F))
     return violations
@@ -215,15 +218,7 @@ def sweep_mxor(m_issues: int, n: int, workers: int = 1):
     """
     n_tables = 1 << (1 << n)
     total = n_tables**m_issues
-    chunks = _chunk_ranges(n_tables, workers)
-    args = [(m_issues, n, lo, hi) for lo, hi in chunks]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_sweep_mxor_chunk, args)
-    else:
-        parts = [_sweep_mxor_chunk(a) for a in args]
+    parts = _map_chunks(_sweep_mxor_chunk, (m_issues, n), n_tables, workers)
     violations = [v for part in parts for v in part[0]]
     mismatches = [v for part in parts for v in part[1]]
     return total, violations, mismatches
@@ -232,9 +227,8 @@ def sweep_mxor(m_issues: int, n: int, workers: int = 1):
 def _sweep_mxor_chunk(args):
     m_issues, n, lo, hi = args
     agenda = xor_agenda(m_issues - 1).expand()
-    family = closed_families(f"xor:{m_issues - 1}", n)
-    family_outputs = [output_vector(g, agenda, n) for g in family]
-    consistent = set(agenda.consistent)
+    family_outputs = _family_outputs(f"xor:{m_issues - 1}", agenda, n)
+    inconsistent = ~consistent_mask(agenda)
     n_tables = 1 << (1 << n)
     fns = [BoolFn(n, t) for t in range(n_tables)]
     violations = []
@@ -246,23 +240,48 @@ def _sweep_mxor_chunk(args):
             F = IndependentMechanism(tup)
             eps = ic_xor(list(tup))
             target = output_vector(F, agenda, n)
-            enumerated = Fraction(sum(1 for out in target if out not in consistent),
-                                  len(target))
+            enumerated = Fraction(int(inconsistent[target].sum()), len(target))
             if enumerated != eps:
                 mismatches.append(_one_line(F))
             if eps >= sixth:
                 continue
-            best = min(sum(1 for a, b in zip(target, out) if a != b)
-                       for out in family_outputs)
+            best = _fewest_mismatches(family_outputs, target)
             if not Fraction(best, len(target)) <= m_issues * eps:
                 violations.append(_one_line(F))
     return violations, mismatches
 
 
-def _chunk_ranges(size: int, workers: int):
-    workers = max(1, min(workers, size))
-    step = (size + workers - 1) // workers
-    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+def _family_outputs(kind: str, agenda: Agenda, n: int):
+    """The closed family's output vectors stacked as rows."""
+    import numpy as np
+
+    return np.stack([output_vector(g, agenda, n) for g in closed_families(kind, n)])
+
+
+def _fewest_mismatches(rows, target) -> int:
+    """Smallest number of profiles on which a row differs from target."""
+    import numpy as np
+
+    return int(np.count_nonzero(rows != target, axis=1).min())
+
+
+def _map_chunks(chunk_fn, head: tuple, size: int, workers: int) -> list:
+    """Results of chunk_fn on (*head, lo, hi) for each of up to `workers`
+    chunks of range(size), in chunk order, so joining them gives the same
+    list for any `workers`.
+
+    A pool runs them when more than one process would be used: at most one
+    per chunk and per CPU.
+    """
+    step = -(-size // max(1, min(workers, size)))
+    args = [(*head, lo, min(lo + step, size)) for lo in range(0, size, step)]
+    processes = min(workers, len(args), os.cpu_count() or 1)
+    if processes > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(processes) as pool:
+            return pool.map(chunk_fn, args)
+    return [chunk_fn(a) for a in args]
 
 
 # ---------------------------------------------------------------------------

@@ -147,3 +147,42 @@ def test_affine_agenda_file(tmp_path, capsys):
     code, out = run(capsys, "agenda", "show", "--agenda", f"affine:@{path}")
     assert code == 0
     assert out.splitlines() == ["m=3", "000", "011", "101", "110"]
+
+
+def test_exact_value_with_odd_denominator_prints_fraction(capsys):
+    # majority on pref:3 at 3 voters: the Condorcet paradox probability 1/18
+    code, out = run(capsys, "indices", "ic", "--agenda", "pref:3", "--mech",
+                    "systematic:maj", "--voters", "3", "--mode", "exact")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[5:7] == ["1/18", ""]
+
+
+def _table_file(tmp_path, rows):
+    path = tmp_path / "table.txt"
+    path.write_text("table n=1\n" + "".join(f"{r}\n" for r in rows), encoding="utf-8")
+    return f"@{path}"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0,000"], "misses row 1"),                                # 4 profiles at 1 voter
+    (["0,000", "1,010", "1,100", "2,100", "3,111"], "row 1 is listed twice"),
+    (["0,000", "1,010", "2,100", "4,111"], "row 4 is outside"),
+    (["0,000", "1,010", "2,100", "3,0001"], "does not have 3 issues"),
+])
+def test_malformed_table_file_exits_2(tmp_path, capsys, rows, message):
+    with pytest.raises(SystemExit) as e:
+        main(["indices", "ic", "--agenda", "conjunction:2", "--mech",
+              _table_file(tmp_path, rows), "--voters", "1"])
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy costs the commands that need no profile space time and memory
+    import subprocess
+    import sys
+
+    code = "import sys, approxagg.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -2,8 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from approxagg.agenda import conjunction_agenda, id_agenda, xor_agenda
+from approxagg.agenda import (
+    AffineAgenda,
+    conjunction_agenda,
+    gf2_rank,
+    id_agenda,
+    preference_agenda,
+    xor_agenda,
+)
 from approxagg.bitfn import BoolFn, constant, dictator, majority, oligarchy
 from approxagg.indices import (
     conjunction_counts,
@@ -22,11 +30,14 @@ from approxagg.indices import (
 from approxagg.mechanism import (
     IndependentMechanism,
     TableMechanism,
+    apply,
     closed_families,
     maj_mechanism,
     mech_distance_exact,
     output_vector,
     perturb,
+    profile_column,
+    profile_from_index,
     systematic,
 )
 
@@ -133,7 +144,7 @@ def test_di_exact_matches_double_enumeration():
 
     rng = random.Random(3)
     F = perturb(systematic(oligarchy(0b1, 1), 3), CONJ2, 1, 1.0, seed=17)
-    cols = _profile_columns(CONJ2, 1)
+    cols = _profile_columns(CONJ2, 1).T.tolist()  # issue columns per profile
     outs = output_vector(F, CONJ2, 1)
     for j in (1, 2, 3):
         acc = Fraction(0)
@@ -150,7 +161,7 @@ def test_di_detects_cross_issue_copy():
     # issue 1 output copies the majority of the issue-2 column
     from approxagg.mechanism import _profile_columns
 
-    cols = _profile_columns(CONJ2, 3)
+    cols = _profile_columns(CONJ2, 3).T.tolist()  # issue columns per profile
     outputs = []
     for tup in cols:
         c2 = tup[1]
@@ -213,7 +224,7 @@ def test_ic_lipschitz_in_issue_functions():
 
     rng = random.Random(34)
     for agenda in (CONJ2, XOR2):
-        cols = _profile_columns(agenda, 3)
+        cols = _profile_columns(agenda, 3).T.tolist()  # issue columns per profile
         for _ in range(20):
             fns_f = tuple(BoolFn(3, rng.randrange(256)) for _ in range(3))
             fns_g = tuple(BoolFn(3, rng.randrange(256)) for _ in range(3))
@@ -225,3 +236,60 @@ def test_ic_lipschitz_in_issue_functions():
                          len(cols))
                 for j, (a, b) in enumerate(zip(fns_f, fns_g)))
             assert gap <= total
+
+
+# ---------------------------------------------------------------------------
+# the array paths against per-profile enumeration through apply
+
+
+@st.composite
+def agendas(draw):
+    kind = draw(st.sampled_from(["conjunction", "xor", "pref", "id", "affine"]))
+    if kind == "conjunction":
+        return conjunction_agenda(draw(st.integers(1, 3))).expand()
+    if kind == "xor":
+        return xor_agenda(draw(st.integers(1, 3))).expand()
+    # pref:5 and id:9 and up have more than 8 issues: 16-bit outputs
+    if kind == "pref":
+        return preference_agenda(draw(st.integers(3, 5)))
+    if kind == "id":
+        return id_agenda(draw(st.integers(1, 12)))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.integers(1, (1 << m) - 1), max_size=m - 1)
+                .filter(lambda rows: gf2_rank(rows, m) == len(rows)))
+    return AffineAgenda(m, tuple(rows), draw(st.integers(0, (1 << m) - 1))).expand()
+
+
+@st.composite
+def mechanisms(draw):
+    agenda = draw(agendas())
+    base = len(agenda.consistent)
+    # keep the profile space at or below 6^4 = 1296
+    voters = draw(st.integers(1, max(v for v in range(1, 5) if base**v <= 1296)))
+    if draw(st.booleans()):
+        tables = st.integers(0, (1 << (1 << voters)) - 1)
+        fns = tuple(BoolFn(voters, draw(tables)) for _ in range(agenda.issues))
+        return agenda, voters, IndependentMechanism(fns)
+    outputs = draw(st.lists(st.integers(0, (1 << agenda.issues) - 1),
+                            min_size=base**voters, max_size=base**voters))
+    return agenda, voters, TableMechanism(agenda, voters, outputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mechanisms())
+@example((id_agenda(12), 1, systematic(dictator(1, 1), 12)))  # outputs 0 and 2^12 - 1
+def test_array_paths_match_per_profile_enumeration(case):
+    agenda, voters, F = case
+    profiles = [profile_from_index(agenda, voters, i)
+                for i in range(len(agenda.consistent) ** voters)]
+    outs = [apply(F, agenda, p) for p in profiles]
+    assert output_vector(F, agenda, voters).tolist() == outs
+    bad = sum(1 for out in outs if not agenda.is_consistent(out))
+    assert inconsistency_index(F, agenda, voters).value == Fraction(bad, len(outs))
+    for j in range(1, agenda.issues + 1):
+        groups: dict[int, list[int]] = {}
+        for p, out in zip(profiles, outs):
+            groups.setdefault(profile_column(agenda, p, j), []).append((out >> (j - 1)) & 1)
+        di = sum((Fraction(2 * sum(g) * (len(g) - sum(g)), len(g)) for g in groups.values()),
+                 Fraction(0)) / len(outs)
+        assert dependency_index(F, agenda, voters, j).value == di

@@ -106,7 +106,9 @@ OLIG2 = systematic(oligarchy(0b11, 2), 3)  # two voters, three issues
 
 def test_as_table_matches_apply():
     T = as_table(OLIG2, CONJ2, 2)
-    assert output_vector(T, CONJ2, 2) == output_vector(OLIG2, CONJ2, 2)
+    by_apply = [apply(OLIG2, CONJ2, profile_from_index(CONJ2, 2, i)) for i in range(16)]
+    assert output_vector(T, CONJ2, 2).tolist() == by_apply
+    assert output_vector(OLIG2, CONJ2, 2).tolist() == by_apply
 
 
 def test_perturb_rate_zero_and_one():

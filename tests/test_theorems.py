@@ -113,7 +113,7 @@ def test_relax_large_di_not_applicable():
     from approxagg.mechanism import TableMechanism, _profile_columns
 
     agenda = conjunction_agenda(2).expand()
-    cols = _profile_columns(agenda, 2)
+    cols = _profile_columns(agenda, 2).T.tolist()  # issue columns per profile
     outputs = []
     for tup in cols:
         c2 = tup[1]
@@ -283,3 +283,39 @@ def test_sweeps_small_slice():
     t2, x2, p2 = sweep_mxor(2, 1, workers=2)
     assert (t1, x1, p1) == (t2, x2, p2)
     assert not p1
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return [fn(a) for a in args]
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (1000, 64, 4),   # at 1 voter there are 4 tables per issue: at most 4 chunks
+    (1000, 3, 3),
+    (3, 64, 2),      # 4 tables in chunks of 2
+    (1, 64, None),   # one process: no pool
+])
+def test_sweep_pool_is_clamped(monkeypatch, workers, cpus, expected):
+    import multiprocessing
+    import os
+
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _RecordingPool.sizes = []
+    assert sweep_mand(1, 1, workers=workers) == sweep_mand(1, 1, workers=1)
+    assert sweep_mxor(2, 1, workers=workers) == sweep_mxor(2, 1, workers=1)
+    assert _RecordingPool.sizes == ([] if expected is None else [expected] * 2)
