@@ -11,6 +11,7 @@ from .agenda import (
     conjunction_agenda,
     id_agenda,
     preference_agenda,
+    relabel_opinions,
     xor_agenda,
 )
 from .bitfn import (
@@ -33,6 +34,7 @@ from .indices import (
     IndexReport,
     dependency_index,
     dependency_index_max,
+    fix_issue_dependency,
     inconsistency_index,
     min_ic_over_conclusion,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bitfn import popcount
 
@@ -48,13 +47,6 @@ class Agenda:
     def is_consistent(self, opinion: int) -> bool:
         i = bisect_left(self.consistent, opinion)
         return i < len(self.consistent) and self.consistent[i] == opinion
-
-    def issue_marginal(self, j: int) -> Fraction:
-        """Fraction of consistent opinions answering 1 on issue j."""
-        if not 1 <= j <= self.issues:
-            raise ValueError(f"issue {j} out of range")
-        hits = sum(1 for x in self.consistent if (x >> (j - 1)) & 1)
-        return Fraction(hits, len(self.consistent))
 
     def serialize(self) -> str:
         lines = [f"m={self.issues}"]
@@ -202,6 +194,9 @@ class AffineAgenda:
     shift: int = 0
 
     def __post_init__(self):
+        # checked before opinions() enumerates all 2^issues candidates
+        if not 1 <= self.issues <= MAX_ISSUES:
+            raise ValueError(f"issue count must be in [1, {MAX_ISSUES}]")
         if gf2_rank(list(self.rows), self.issues) != len(self.rows):
             raise ValueError("constraint matrix must have full rank")
 
@@ -215,6 +210,16 @@ class AffineAgenda:
 
     def expand(self) -> Agenda:
         return Agenda(self.issues, self.opinions())
+
+    @classmethod
+    def parse(cls, text: str) -> "AffineAgenda":
+        """First line "m=<issues> [shift=<bits>]", then one binary row mask per line."""
+        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+        if not lines or not lines[0].startswith("m="):
+            raise ValueError("affine agenda text must start with 'm=<issues>'")
+        kv = dict(tok.split("=", 1) for tok in lines[0].split())
+        shift = opinion_from_str(kv.get("shift", "0"))
+        return cls(int(kv["m"]), tuple(opinion_from_str(ln) for ln in lines[1:]), shift)
 
 
 def gf2_rank(rows: list[int], n_cols: int) -> int:
@@ -285,3 +290,41 @@ def relabel_opinions(agenda: Agenda, issue_order: list[int]) -> tuple[int, ...]:
                 bits |= 1 << (orig - 1)
         out.append(bits)
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# agenda specs
+
+
+def read_at(arg: str) -> str:
+    """Contents of the file named by an "@<file>" spec argument."""
+    if not arg.startswith("@"):
+        raise ValueError(f"expected @<file>, got {arg!r}")
+    with open(arg[1:], encoding="utf-8") as fh:
+        return fh.read()
+
+
+def parse_agenda_spec(spec: str) -> tuple[Agenda, TruthFunctionalAgenda | None]:
+    """The agenda a spec names, with its truth-functional form if it has one.
+
+    Specs: conjunction:<k>, xor:<k>, pref:<s>, id[:<m>] (m = 2 by default),
+    affine:@<file> (see AffineAgenda.parse) and tf:@<file> (see
+    TruthFunctionalAgenda.parse).  Raises ValueError, or OSError for an
+    unreadable file.
+    """
+    name, _, arg = spec.partition(":")
+    if name == "conjunction":
+        tf = conjunction_agenda(int(arg))
+    elif name == "xor":
+        tf = xor_agenda(int(arg))
+    elif name == "tf":
+        tf = TruthFunctionalAgenda.parse(read_at(arg))
+    elif name == "pref":
+        return preference_agenda(int(arg)), None
+    elif name == "id":
+        return id_agenda(int(arg) if arg else 2), None
+    elif name == "affine":
+        return AffineAgenda.parse(read_at(arg)).expand(), None
+    else:
+        raise ValueError(f"unknown agenda kind {name!r}")
+    return tf.expand(), tf

@@ -139,22 +139,6 @@ def majority(n: int, support: int | None = None) -> BoolFn:
     return BoolFn(n, table)
 
 
-def make_family(kind: str, support: int | None, n: int) -> BoolFn:
-    if kind == "oligarchy":
-        return oligarchy(support or 0, n)
-    if kind == "linear":
-        return linear(support or 0, n)
-    if kind == "dictator":
-        if support is None or popcount(support) != 1:
-            raise ValueError("dictator needs a singleton coalition")
-        return BoolFn(n, oligarchy(support, n).table)
-    if kind == "constant":
-        return constant(1 if support else 0, n)
-    if kind == "majority":
-        return majority(n, support)
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
 def classify(f: BoolFn) -> dict[str, int | None]:
     """Detect membership in the oligarchy / linear families by exhaustive comparison.
 
@@ -200,22 +184,6 @@ def distance_uniform(f: BoolFn, g: BoolFn) -> Fraction:
     return Fraction(popcount(f.table ^ g.table), f.size)
 
 
-def distance_biased(f: BoolFn, g: BoolFn, p: Fraction) -> Fraction:
-    """Disagreement probability when each input bit is i.i.d. Bernoulli(p)."""
-    if f.arity != g.arity:
-        raise ValueError("arity mismatch")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("bias must lie in [0, 1]")
-    diff = f.table ^ g.table
-    total = Fraction(0)
-    for x in range(f.size):
-        if (diff >> x) & 1:
-            ones = popcount(x)
-            total += p**ones * (1 - p) ** (f.arity - ones)
-    return total
-
-
 def influence(i: int, f: BoolFn) -> Fraction:
     """Probability that voter i flips the output by flipping their bit."""
     _check_voter(i, f.arity)
@@ -234,11 +202,6 @@ def ignorability(i: int, f: BoolFn) -> Fraction:
 
 def expectation(f: BoolFn) -> Fraction:
     return Fraction(popcount(f.table), f.size)
-
-
-def pareto_check(f: BoolFn) -> bool:
-    """True iff unanimous inputs are echoed: f(all zeros)=0 and f(all ones)=1."""
-    return f.evaluate(0) == 0 and f.evaluate(f.size - 1) == 1
 
 
 def junta_projection(f: BoolFn, members: int) -> BoolFn:

@@ -13,15 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .agenda import (
-    AffineAgenda,
-    Agenda,
-    TruthFunctionalAgenda,
-    conjunction_agenda,
-    id_agenda,
-    preference_agenda,
-    xor_agenda,
-)
+from .agenda import Agenda, conjunction_agenda, parse_agenda_spec, read_at, xor_agenda
 from .bitfn import BoolFn, constant, dictator, linear, majority, oligarchy
 from .fourier import transform
 from .indices import dependency_index, dependency_index_max, inconsistency_index
@@ -55,54 +47,17 @@ class SpecError(ValueError):
 # spec mini-languages
 
 
-def build_agenda(spec: str):
-    """Parse an agenda spec into (agenda_id, Agenda, tf | None).
-
-    Specs: conjunction:<k>, xor:<k>, pref:<s>, id[:<m>], affine:@<file>,
-    tf:@<file>.
-    """
-    name, _, arg = spec.partition(":")
+def build_agenda(spec: str | None):
+    """Parse an agenda spec into (agenda_id, Agenda, tf | None); see
+    agenda.parse_agenda_spec for the spec forms."""
+    if spec is None:
+        raise SpecError("missing --agenda; example: --agenda conjunction:2")
     try:
-        if name == "conjunction":
-            tf = conjunction_agenda(int(arg))
-            return spec, tf.expand(), tf
-        if name == "xor":
-            tf = xor_agenda(int(arg))
-            return spec, tf.expand(), tf
-        if name == "pref":
-            return spec, preference_agenda(int(arg)), None
-        if name == "id":
-            return spec, id_agenda(int(arg) if arg else 2), None
-        if name == "affine":
-            aff = _load_affine(_read_at(arg))
-            return spec, aff.expand(), None
-        if name == "tf":
-            tf = TruthFunctionalAgenda.parse(_read_at(arg))
-            return spec, tf.expand(), tf
+        agenda, tf = parse_agenda_spec(spec)
     except (ValueError, OSError) as exc:
         raise SpecError(f"bad agenda spec {spec!r}: {exc}; "
                         "example: --agenda conjunction:2") from exc
-    raise SpecError(f"unknown agenda kind {name!r}; "
-                    "example: --agenda conjunction:2")
-
-
-def _read_at(arg: str) -> str:
-    if not arg.startswith("@"):
-        raise SpecError(f"expected @<file>, got {arg!r}")
-    with open(arg[1:], encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load_affine(text: str) -> AffineAgenda:
-    """First line "m=<issues> shift=<bits>", then one binary row mask per line."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    from .agenda import opinion_from_str
-
-    kv = dict(tok.split("=", 1) for tok in lines[0].split())
-    m = int(kv["m"])
-    shift = opinion_from_str(kv.get("shift", "0"))
-    rows = tuple(opinion_from_str(ln) for ln in lines[1:])
-    return AffineAgenda(m, rows, shift)
+    return spec, agenda, tf
 
 
 def build_fn(spec: str, voters: int) -> BoolFn:
@@ -124,11 +79,13 @@ def build_fn(spec: str, voters: int) -> BoolFn:
     raise SpecError(f"unknown function spec {spec!r}; example: --mech systematic:maj")
 
 
-def build_mechanism(spec: str, agenda: Agenda, voters: int):
+def build_mechanism(spec: str | None, agenda: Agenda, voters: int):
     """Mechanism specs: systematic:<fn>, olig:<mask>, linear:<mask>:<signs>,
     or @<file> holding a serialized mechanism."""
+    if spec is None:
+        raise SpecError("missing --mech; example: --mech systematic:maj")
     if spec.startswith("@"):
-        return parse_mechanism(_read_at(spec), agenda)
+        return parse_mechanism(read_at(spec), agenda)
     name, _, arg = spec.partition(":")
     if name == "systematic":
         return systematic(build_fn(arg, voters), agenda.issues)
@@ -145,12 +102,21 @@ def build_mechanism(spec: str, agenda: Agenda, voters: int):
                     "example: --mech systematic:maj")
 
 
-def _fn_list(spec: str, voters: int) -> list[BoolFn]:
+def _fn_list(spec: str | None, voters: int) -> list[BoolFn]:
+    if spec is None:
+        raise SpecError("missing --fns; example: --fns maj,maj")
     return [build_fn(tok, voters) for tok in spec.split(",")]
 
 
 def _fraction(text: str) -> Fraction:
     return Fraction(text)
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agenda", required=True)
     p.add_argument("--issue", type=int)
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive, default=100_000)
     p.add_argument("--seed", type=int)
     common(p, mech=True)
     p.set_defaults(func=_cmd_indices)
@@ -386,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blr")
     p.add_argument("--fns", required=True, help="three function specs, comma-separated")
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive, default=100_000)
     p.add_argument("--seed", type=int)
     common(p)
     p.set_defaults(func=_cmd_blr)

@@ -8,15 +8,10 @@ correlation sums, and coefficient(S) = weights[S] / 2^n.
 
 from __future__ import annotations
 
-import itertools
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitfn import BoolFn, distance_uniform, linear, popcount
-
-EXACT_TRIPLE_BITS = 26  # enumeration cap for the exact product identity
+from .bitfn import BoolFn, linear
 
 
 def sign(bit: int) -> int:
@@ -32,10 +27,6 @@ class FourierSpectrum:
 
     def coefficient(self, mask: int) -> Fraction:
         return Fraction(self.weights[mask], 1 << self.arity)
-
-    def coefficients(self) -> list[Fraction]:
-        size = 1 << self.arity
-        return [Fraction(w, size) for w in self.weights]
 
     def serialize_rows(self) -> list[tuple[int, int, int]]:
         """Spectrum as (mask, numerator, log2_denominator) CSV rows."""
@@ -80,95 +71,18 @@ def character(mask: int, n: int) -> BoolFn:
     return linear(mask, n)
 
 
-def coefficient_distance_relation(f: BoolFn, mask: int):
-    """Return (f_hat(S), d(f, chi_S), d(f, -chi_S)) and check both identities."""
-    coeff = transform(f).coefficient(mask)
-    chi = character(mask, f.arity)
-    d_plus = distance_uniform(f, chi)
-    d_minus = distance_uniform(f, chi.negate())
-    assert coeff == 1 - 2 * d_plus == 2 * d_minus - 1
-    return coeff, d_plus, d_minus
-
-
-def spectral_sum(fs: list[BoolFn]) -> Fraction:
-    """sum_S prod_j f^j_hat(S), computed exactly from the spectra."""
-    n = fs[0].arity
+def spectral_product_total(fs: list[BoolFn]) -> int:
+    """sum_S prod_j weights_j[S]: 2^(n len(fs)) times sum_S prod_j f^j_hat(S)."""
     specs = [transform(f).weights for f in fs]
     total = 0
-    for mask in range(1 << n):
+    for mask in range(1 << fs[0].arity):
         prod = 1
         for w in specs:
             prod *= w[mask]
         total += prod
-    return Fraction(total, 1 << (n * len(fs)))
+    return total
 
 
-def triple_product_identity(fs: list[BoolFn], mode: str = "exact",
-                            samples: int = 100_000, seed: int | None = None):
-    """Compare E[prod_{j<m} f^j(x^j) * f^m(prod x^j)] against sum_S prod f^j_hat(S).
-
-    Inputs x^1..x^{m-1} are independent and uniform; products are in the
-    +-1 semantics (coordinatewise xor on indices).  Exact mode enumerates
-    all (m-1)*n input bits and asserts equality; mc mode returns a 99%
-    Hoeffding confidence interval around the sampled left-hand side.
-    """
-    if len(fs) < 2:
-        raise ValueError("need at least two functions")
-    n = fs[0].arity
-    if any(f.arity != n for f in fs):
-        raise ValueError("arity mismatch")
-    m = len(fs)
-    rhs = spectral_sum(fs)
-    signs = [[sign((f.table >> x) & 1) for x in range(f.size)] for f in fs]
-    if mode == "exact":
-        bits = (m - 1) * n
-        if bits > EXACT_TRIPLE_BITS:
-            raise ValueError(f"exact mode needs (m-1)*n <= {EXACT_TRIPLE_BITS}, got {bits}")
-        total = 0
-        for xs in itertools.product(range(1 << n), repeat=m - 1):
-            prod = signs[m - 1][_xor_all(xs)]
-            for j, x in enumerate(xs):
-                prod *= signs[j][x]
-            total += prod
-        lhs = Fraction(total, 1 << bits)
-        assert lhs == rhs
-        return lhs, rhs
-    if mode == "mc":
-        if seed is None:
-            raise ValueError("mc mode requires a seed")
-        rng = random.Random(seed)
-        total = 0
-        for _ in range(samples):
-            xs = [rng.randrange(1 << n) for _ in range(m - 1)]
-            prod = signs[m - 1][_xor_all(xs)]
-            for j, x in enumerate(xs):
-                prod *= signs[j][x]
-            total += prod
-        estimate = total / samples
-        half = math.sqrt(math.log(2 / 0.01) / (2 * samples)) * 2  # values in [-1, 1]
-        return (estimate, (estimate - half, estimate + half)), rhs
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _xor_all(xs) -> int:
-    acc = 0
-    for x in xs:
-        acc ^= x
-    return acc
-
-
-def generalized_hoelder_holds(spectra: list[FourierSpectrum]) -> bool:
-    """(sum_S prod_j |f^j_hat(S)|)^k <= prod_j sum_S |f^j_hat(S)|^k with k = len."""
-    k = len(spectra)
-    n = spectra[0].arity
-    size = 1 << n
-    lhs = Fraction(0)
-    for mask in range(size):
-        prod = Fraction(1)
-        for s in spectra:
-            prod *= abs(s.coefficient(mask))
-        lhs += prod
-    rhs = Fraction(1)
-    for s in spectra:
-        rhs *= sum(abs(s.coefficient(mask)) ** k for mask in range(size))
-    return lhs**k <= rhs
+def spectral_sum(fs: list[BoolFn]) -> Fraction:
+    """sum_S prod_j f^j_hat(S), computed exactly from the spectra."""
+    return Fraction(spectral_product_total(fs), 1 << (fs[0].arity * len(fs)))

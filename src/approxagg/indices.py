@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .agenda import Agenda
 from .bitfn import BoolFn, popcount
-from .fourier import transform
+from .fourier import spectral_product_total
 from .mechanism import (
     IndependentMechanism,
     Mechanism,
@@ -119,16 +119,8 @@ def ic_xor(fns: list[BoolFn]) -> Fraction:
     """Exact inconsistency index of an independent mechanism on the xor
     agenda (m issues, conclusion = xor of the first m-1), via the spectral
     product sum."""
-    n = fns[0].arity
-    m = len(fns)
-    weights = [transform(f).weights for f in fns]
-    total = 0
-    for mask in range(1 << n):
-        prod = 1
-        for w in weights:
-            prod *= w[mask]
-        total += prod
-    return Fraction((1 << (m * n)) - total, 1 << (m * n + 1))
+    bits = len(fns) * fns[0].arity
+    return Fraction((1 << bits) - spectral_product_total(fns), 1 << (bits + 1))
 
 
 def min_ic_over_conclusion(premise_fns: list[BoolFn]) -> tuple[Fraction, BoolFn]:
@@ -229,45 +221,7 @@ def _opinions_by_issue_bit(agenda: Agenda, j: int) -> dict[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# single-shot local tests
-
-
-def consistency_test(F: Mechanism, agenda: Agenda, voters: int, seed: int) -> bool:
-    """One-shot test: accept iff a random profile aggregates consistently."""
-    rng = random.Random(seed)
-    rows = tuple(rng.randrange(len(agenda.consistent)) for _ in range(voters))
-    return agenda.is_consistent(apply(F, agenda, Profile(rows)))
-
-
-def independence_test(F: Mechanism, agenda: Agenda, voters: int, j: int, seed: int) -> bool:
-    """One-shot test: resample every voter without touching the issue-j bit
-    and accept iff the issue-j aggregate is unchanged."""
-    rng = random.Random(seed)
-    by_bit = _opinions_by_issue_bit(agenda, j)
-    opinions = agenda.consistent
-    x = tuple(rng.randrange(len(opinions)) for _ in range(voters))
-    y = tuple(rng.choice(by_bit[(opinions[r] >> (j - 1)) & 1]) for r in x)
-    fx = apply(F, agenda, Profile(x))
-    fy = apply(F, agenda, Profile(y))
-    return ((fx ^ fy) >> (j - 1)) & 1 == 0
-
-
-# ---------------------------------------------------------------------------
 # proof constructions
-
-
-def nearest_consistent(F: Mechanism, agenda: Agenda, voters: int) -> TableMechanism:
-    """Redirect every inconsistent output to a nearest consistent opinion
-    (Hamming distance, ties to the smallest opinion); the redirected
-    mechanism is consistent and differs from F on exactly the inconsistent
-    profiles."""
-    import numpy as np
-
-    values, where = np.unique(output_vector(F, agenda, voters), return_inverse=True)
-    nearest = [out if agenda.is_consistent(out)
-               else min(agenda.consistent, key=lambda c: (popcount(c ^ out), c))
-               for out in values.tolist()]
-    return TableMechanism(agenda, voters, np.asarray(nearest)[where])
 
 
 def fix_issue_dependency(F: Mechanism, agenda: Agenda, voters: int, j: int) -> TableMechanism:

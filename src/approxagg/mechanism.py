@@ -14,6 +14,7 @@ space do not load it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .agenda import Agenda
-from .bitfn import BoolFn, constant, linear, majority, oligarchy
+from .bitfn import BoolFn, constant, linear, oligarchy
 
 # Per profile the exact paths hold the m issue columns, each in the smallest
 # unsigned type with n bits (1, 2 or 4 bytes), and one output in the smallest
@@ -262,12 +263,6 @@ def output_vector(F: Mechanism, agenda: Agenda, voters: int):
     return _evaluate(F.fns, _profile_columns(agenda, voters))
 
 
-def as_table(F: Mechanism, agenda: Agenda, voters: int) -> TableMechanism:
-    if isinstance(F, TableMechanism):
-        return F
-    return TableMechanism(agenda, voters, output_vector(F, agenda, voters))
-
-
 # ---------------------------------------------------------------------------
 # distances
 
@@ -342,15 +337,6 @@ def perturb(F: Mechanism, agenda: Agenda, voters: int, flip_rate: float, seed: i
     return TableMechanism(agenda, voters, outputs)
 
 
-def flip_profiles(F: Mechanism, agenda: Agenda, voters: int,
-                  new_outputs: dict[int, int]) -> TableMechanism:
-    """Override outputs at explicit profile indices."""
-    outputs = output_vector(F, agenda, voters).copy()
-    for idx, out in new_outputs.items():
-        outputs[idx] = out
-    return TableMechanism(agenda, voters, outputs)
-
-
 # ---------------------------------------------------------------------------
 # closed consistent-independent families
 
@@ -359,7 +345,8 @@ def closed_families(kind: str, n: int) -> list[IndependentMechanism]:
     """Closed-form consistent independent mechanisms for a named agenda kind.
 
     kind is "conjunction:<k>", "xor:<k>" (k premises, one conclusion), or
-    "id".  Members are deduplicated and sorted by serialization.
+    "id[:<m>]" (m issues, 2 by default).  Members are deduplicated and
+    sorted by serialization.
     """
     name, _, arg = kind.partition(":")
     members: set[tuple[BoolFn, ...]] = set()
@@ -371,7 +358,7 @@ def closed_families(kind: str, n: int) -> list[IndependentMechanism]:
         zero = constant(0, n)
         all_fns = [BoolFn(n, t) for t in range(1 << (1 << n))]
         for j in range(k):
-            for others in _tuples(all_fns, k - 1):
+            for others in itertools.product(all_fns, repeat=k - 1):
                 fns = list(others[:j]) + [zero] + list(others[j:]) + [zero]
                 members.add(tuple(fns))
     elif name == "xor":
@@ -385,21 +372,11 @@ def closed_families(kind: str, n: int) -> list[IndependentMechanism]:
                 negs.append(sum(negs) & 1)
                 members.add(tuple(chi.negate() if s else chi for s in negs))
     elif name == "id":
+        m = int(arg) if arg else 2
         for t in range(1 << (1 << n)):
-            f = BoolFn(n, t)
-            members.add((f, f))
+            members.add((BoolFn(n, t),) * m)
     else:
         raise ValueError(f"unsupported agenda kind {kind!r}")
     mechanisms = [IndependentMechanism(fns) for fns in members]
     mechanisms.sort(key=lambda mech: mech.serialize())
     return mechanisms
-
-
-def _tuples(pool, length: int):
-    import itertools
-
-    return itertools.product(pool, repeat=length)
-
-
-def maj_mechanism(n: int, issues: int) -> IndependentMechanism:
-    return systematic(majority(n), issues)

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agenda import Agenda, TruthFunctionalAgenda
+from .agenda import Agenda, TruthFunctionalAgenda, parse_agenda_spec
 from .bitfn import BoolFn
 from .mechanism import (
     IndependentMechanism,
@@ -38,30 +38,23 @@ class CIFamily:
 
 
 def enumerate_ci(agenda: Agenda, voters: int, agenda_id: str = "",
-                 tf: TruthFunctionalAgenda | None = None,
-                 mode: str = "auto") -> CIFamily:
+                 tf: TruthFunctionalAgenda | None = None) -> CIFamily:
     """All independent mechanisms with inconsistency index exactly zero.
 
-    The generic path sweeps every per-issue function tuple and keeps the
-    consistent ones.  The pruned path (single-conclusion truth-functional
-    agendas) sweeps premise tuples only: consistency forces the conclusion
-    function pointwise, so each premise tuple admits at most one member.
+    Given a single-conclusion truth-functional form `tf`, the pruned path
+    sweeps premise tuples only: consistency forces the conclusion function
+    pointwise, so each premise tuple admits at most one member.  Otherwise
+    the generic path sweeps every per-issue function tuple and keeps the
+    consistent ones.
     """
     n_tables = 1 << (1 << voters)
-    if mode == "auto":
-        mode = "pruned" if tf is not None and len(tf.conclusions) == 1 else "generic"
-    if mode == "pruned":
-        if tf is None or len(tf.conclusions) != 1:
-            raise ValueError("pruned enumeration needs a single-conclusion "
-                             "truth-functional agenda")
+    if tf is not None and len(tf.conclusions) == 1:
         members = _enumerate_pruned(tf, voters, n_tables)
-    elif mode == "generic":
+    else:
         if n_tables**agenda.issues > CANDIDATE_BUDGET:
             raise ValueError("candidate space exceeds the enumeration budget; "
                              "use the pruned path for truth-functional agendas")
         members = _enumerate_generic(agenda, voters, n_tables)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     members.sort(key=lambda mech: mech.serialize())
     return CIFamily(agenda_id, voters, tuple(members))
 
@@ -92,12 +85,12 @@ def _enumerate_pruned(tf: TruthFunctionalAgenda, voters: int,
     size = 1 << voters
     members = []
     fns = [BoolFn(voters, t) for t in range(n_tables)]
-    matrices = list(itertools.product(range(size), repeat=k))
+    matrices = [(cols, _conclusion_column(concl, cols, voters))
+                for cols in itertools.product(range(size), repeat=k)]
     for tup in itertools.product(fns, repeat=k):
         required: dict[int, int] = {}
         ok = True
-        for cols in matrices:
-            ccol = _conclusion_column(concl, cols, voters)
+        for cols, ccol in matrices:
             premise_bits = 0
             for j, col in enumerate(cols):
                 premise_bits |= ((tup[j].table >> col) & 1) << j
@@ -147,10 +140,10 @@ def nearest_ci(F: Mechanism, agenda: Agenda, voters: int,
 def verify_characterization(kind: str, n: int) -> tuple[bool, dict[str, list[str]]]:
     """Set-compare the brute-force enumeration against the closed families.
 
-    kind is "conjunction:<k>", "xor:<k>", or "id".  Returns (equal, diff)
-    where diff lists serializations missing from either side.
+    kind is "conjunction:<k>", "xor:<k>", or "id[:<m>]".  Returns (equal,
+    diff) where diff lists serializations missing from either side.
     """
-    agenda, tf = _agenda_for_kind(kind)
+    agenda, tf = parse_agenda_spec(kind)
     family = enumerate_ci(agenda, n, kind, tf=tf)
     closed = closed_families(kind, n)
     enumerated = {m.serialize() for m in family.mechanisms}
@@ -161,17 +154,3 @@ def verify_characterization(kind: str, n: int) -> tuple[bool, dict[str, list[str
     }
     return enumerated == expected, diff
 
-
-def _agenda_for_kind(kind: str):
-    from .agenda import conjunction_agenda, id_agenda, xor_agenda
-
-    name, _, arg = kind.partition(":")
-    if name == "conjunction":
-        tf = conjunction_agenda(int(arg))
-        return tf.expand(), tf
-    if name == "xor":
-        tf = xor_agenda(int(arg))
-        return tf.expand(), tf
-    if name == "id":
-        return id_agenda(), None
-    raise ValueError(f"unsupported agenda kind {kind!r}")

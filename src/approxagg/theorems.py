@@ -47,6 +47,24 @@ from .mechanism import (
 from .oracle import CIFamily, nearest_ci
 
 
+# whether the bound is closed, for each claim whose status is
+# verdict(distance, bound, closed); the boundpi, granularity and junta
+# checks decide their status otherwise
+CLOSED_BOUND = {"mand": False, "mxor": True, "relax": False, "blr": True}
+
+
+def verdict(distance: Fraction, bound: float, closed: bool) -> str:
+    """Status of a distance against its claimed bound: "vacuous" when the
+    bound is 1 or more (distances never exceed 1), else "satisfied" when the
+    distance is 0 (F is in the family) or below the bound, or equal to it
+    when `closed`, else "violated"."""
+    if bound >= 1:
+        return "vacuous"
+    if distance == 0 or (distance <= bound if closed else distance < bound):
+        return "satisfied"
+    return "violated"
+
+
 @dataclass(frozen=True)
 class BoundReport:
     claim: str
@@ -62,18 +80,11 @@ class BoundReport:
     detail: dict = field(default_factory=dict)
 
     def recompute_status(self) -> str:
-        """Re-derive the verdict from the stored quantities."""
-        if self.status == "not-applicable":
-            return "not-applicable"
-        if self.bound is not None and self.bound >= 1:
-            return "vacuous"
-        if self.distance is None or self.bound is None:
+        """Re-derive the verdict from the stored distance and bound; the
+        lemma checks, whose status is no such verdict, keep theirs."""
+        if self.status == "not-applicable" or self.claim not in CLOSED_BOUND:
             return self.status
-        # a zero distance meets even a strict zero bound (F is in the family)
-        ok = (self.distance == 0
-              or (float(self.distance) <= self.bound if self.detail.get("closed", False)
-                  else float(self.distance) < self.bound))
-        return "satisfied" if ok else "violated"
+        return verdict(self.distance, self.bound, CLOSED_BOUND[self.claim])
 
     def csv_row(self) -> list[str]:
         return ([self.claim, self.agenda_id, str(self.voters), str(self.issues)]
@@ -136,14 +147,9 @@ def check_mand(F: IndependentMechanism, m_premises: int, n: int,
         family = CIFamily(f"conjunction:{m_premises}", n,
                           tuple(closed_families(f"conjunction:{m_premises}", n)))
     nearest, distance = nearest_ci(F, agenda, n, family)
-    if bound >= 1:
-        status = "vacuous"
-    elif distance == 0 or float(distance) < bound:
-        status = "satisfied"
-    else:
-        status = "violated"
     return BoundReport("mand", f"conjunction:{m_premises}", n, m_premises + 1,
-                       status, ic=eps, distance=distance, bound=bound,
+                       verdict(distance, bound, CLOSED_BOUND["mand"]), ic=eps,
+                       distance=distance, bound=bound,
                        witness=_one_line(nearest))
 
 
@@ -176,8 +182,8 @@ def _sweep_mand_chunk(args):
                 continue
             F = IndependentMechanism(tup)
             target = output_vector(F, agenda, n)
-            best = _fewest_mismatches(family_outputs, target)
-            if best and not best / len(target) < bound:
+            distance = Fraction(_fewest_mismatches(family_outputs, target), len(target))
+            if verdict(distance, bound, CLOSED_BOUND["mand"]) == "violated":
                 violations.append(_one_line(F))
     return violations
 
@@ -194,20 +200,16 @@ def check_mxor(F: IndependentMechanism, m_issues: int, n: int,
     if F.issues != m_issues or F.voters != n:
         raise ValueError("mechanism shape does not match the agenda")
     eps = ic_xor(list(F.fns))
-    bound_frac = m_issues * eps
+    bound = float(m_issues * eps)
     if family is None:
         family = CIFamily(f"xor:{m_issues - 1}", n,
                           tuple(closed_families(f"xor:{m_issues - 1}", n)))
     nearest, distance = nearest_ci(F, agenda, n, family)
-    if eps >= Fraction(1, 6):
-        status = "not-applicable"
-    elif bound_frac >= 1:
-        status = "vacuous"
-    else:
-        status = "satisfied" if distance <= bound_frac else "violated"
+    status = ("not-applicable" if eps >= Fraction(1, 6)
+              else verdict(distance, bound, CLOSED_BOUND["mxor"]))
     return BoundReport("mxor", f"xor:{m_issues - 1}", n, m_issues, status,
-                       ic=eps, distance=distance, bound=float(bound_frac),
-                       witness=_one_line(nearest), detail={"closed": True})
+                       ic=eps, distance=distance, bound=bound,
+                       witness=_one_line(nearest))
 
 
 def sweep_mxor(m_issues: int, n: int, workers: int = 1):
@@ -245,8 +247,8 @@ def _sweep_mxor_chunk(args):
                 mismatches.append(_one_line(F))
             if eps >= sixth:
                 continue
-            best = _fewest_mismatches(family_outputs, target)
-            if not Fraction(best, len(target)) <= m_issues * eps:
+            distance = Fraction(_fewest_mismatches(family_outputs, target), len(target))
+            if verdict(distance, float(m_issues * eps), CLOSED_BOUND["mxor"]) == "violated":
                 violations.append(_one_line(F))
     return violations, mismatches
 
@@ -341,9 +343,8 @@ def check_relax(F: Mechanism, kind: str, agenda: Agenda, n: int,
     d_fg = mech_distance_exact(F, G, agenda, n)
     assert d_fg <= d_fh + d_hg, "triangle inequality violated"
     detail.update({"d_fh": d_fh, "d_hg": d_hg, "ic_h": inconsistency_index(H, agenda, n).value})
-    status = "satisfied" if float(d_fg) < epsilon else "violated"
-    return BoundReport("relax", kind, n, m, status, ic=ic, di=di,
-                       distance=d_fg, bound=epsilon, witness=_one_line(G),
+    return BoundReport("relax", kind, n, m, verdict(d_fg, epsilon, CLOSED_BOUND["relax"]),
+                       ic=ic, di=di, distance=d_fg, bound=epsilon, witness=_one_line(G),
                        detail=detail)
 
 
@@ -495,7 +496,7 @@ def blr_three_function(f: BoolFn, g: BoolFn, h: BoolFn, mode: str = "exact",
     constant_achieved = float(worst / eps) if eps else 0.0
     detail.update({"character": mask, "signs": (sa, sb, sc),
                    "distances": dists, "constant": constant_achieved})
-    status = "satisfied" if worst <= 2 * eps else "violated"
-    return BoundReport("blr", "xor:2", n, 3, status, ic=eps, distance=worst,
-                       bound=float(2 * eps) if eps else 0.0,
+    bound = float(2 * eps)
+    return BoundReport("blr", "xor:2", n, 3, verdict(worst, bound, CLOSED_BOUND["blr"]),
+                       ic=eps, distance=worst, bound=bound,
                        witness=character(mask, n).serialize(), detail=detail)

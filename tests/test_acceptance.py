@@ -27,6 +27,7 @@ from approxagg.bitfn import (
     ignorability,
     influence,
     linear,
+    majority,
     popcount,
 )
 from approxagg.cli import main as cli_main
@@ -44,8 +45,8 @@ from approxagg.mechanism import (
     TableMechanism,
     apply,
     closed_families,
-    maj_mechanism,
     mech_distance_exact,
+    systematic,
 )
 from approxagg.oracle import verify_characterization
 from approxagg.theorems import blr_three_function, sweep_mand, sweep_mxor
@@ -75,7 +76,7 @@ def _print_reports(capfd):
 def test_01_doctrinal_paradox():
     start = time.perf_counter()
     rows = tuple(CONJ2.consistent.index(x) for x in (0b111, 0b001, 0b010))
-    out = apply(maj_mechanism(3, 3), CONJ2, Profile(rows))
+    out = apply(systematic(majority(3), 3), CONJ2, Profile(rows))
     elapsed = time.perf_counter() - start
     ok = out == 0b011 and not CONJ2.is_consistent(out) and elapsed < 0.1
     report(1, ok, f"majority on the paradox profile -> inconsistent 110 "
@@ -84,7 +85,7 @@ def test_01_doctrinal_paradox():
 
 def test_02_ic_exact_and_mc():
     start = time.perf_counter()
-    F = maj_mechanism(3, 3)
+    F = systematic(majority(3), 3)
     exact = inconsistency_index(F, CONJ2, 3).value
     hits = 0
     for seed in range(100):

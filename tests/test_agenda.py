@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -55,16 +54,6 @@ def test_expand_counts():
     for k in range(1, 5):
         assert len(conjunction_agenda(k).expand().consistent) == 1 << k
         assert len(xor_agenda(k).expand().consistent) == 1 << k
-
-
-def test_issue_marginals():
-    ag = conjunction_agenda(2).expand()
-    assert ag.issue_marginal(3) == Fraction(1, 4)
-    assert ag.issue_marginal(1) == ag.issue_marginal(2) == Fraction(1, 2)
-    for k in (2, 3):
-        tf = xor_agenda(k).expand()
-        for j in range(1, k + 1):
-            assert tf.issue_marginal(j) == Fraction(1, 2)
 
 
 def test_agenda_serialize_round_trip():

@@ -52,6 +52,9 @@ def test_oracle_verify(capsys):
     code, out = run(capsys, "oracle", "verify", "--agenda", "conjunction:2",
                     "--voters", "2")
     assert out.strip() == "true 35"
+    # the closed family of id:3 repeats one function over all three issues
+    code, out = run(capsys, "oracle", "verify", "--agenda", "id:3", "--voters", "1")
+    assert out.strip() == "true 4"
 
 
 def test_oracle_enumerate_and_nearest(capsys):
@@ -131,10 +134,11 @@ def test_workers_identical_output(capsys):
 
 
 def test_mechanism_file_round_trip(tmp_path, capsys):
-    from approxagg.mechanism import maj_mechanism
+    from approxagg.bitfn import majority
+    from approxagg.mechanism import systematic
 
     path = tmp_path / "mech.txt"
-    path.write_text(maj_mechanism(3, 3).serialize() + "\n", encoding="utf-8")
+    path.write_text(systematic(majority(3), 3).serialize() + "\n", encoding="utf-8")
     code, out = run(capsys, "indices", "ic", "--agenda", "conjunction:2",
                     "--mech", f"@{path}", "--voters", "3")
     assert code == 0
@@ -175,6 +179,37 @@ def test_malformed_table_file_exits_2(tmp_path, capsys, rows, message):
               _table_file(tmp_path, rows), "--voters", "1"])
     assert e.value.code == 2
     assert message in capsys.readouterr().err
+
+
+MC = "--mode mc --seed 1 --samples 0"
+
+
+@pytest.mark.parametrize("argv", [
+    "oracle nearest --agenda conjunction:2 --voters 2",
+    "verify mand --voters 2",
+    "verify mxor --voters 2",
+    "verify boundpi --voters 3",
+    "verify granularity --voters 3",
+    "verify junta --voters 3",
+    "verify relax --mech systematic:maj --voters 2",
+    "verify relax --agenda conjunction:2 --voters 2",
+    f"indices ic --agenda conjunction:2 --mech systematic:maj {MC}",
+    f"indices di --agenda conjunction:2 --mech systematic:maj {MC}",
+    f"blr --fns maj,maj,maj {MC}",
+    "agenda show --agenda affine:@{tmp}/empty.txt",
+    "agenda show --agenda affine:@{tmp}/no_m.txt",
+    "agenda show --agenda affine:@{tmp}/wide.txt",
+])
+def test_bad_input_exits_2_with_message(tmp_path, capsys, argv):
+    # exit 1 means a violated bound under --strict; bad input is exit 2
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    (tmp_path / "no_m.txt").write_text("shift=000\n111\n", encoding="utf-8")
+    # rejected before 2^40 candidate opinions are enumerated
+    (tmp_path / "wide.txt").write_text("m=40\n11\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as e:
+        main(argv.format(tmp=tmp_path).split())
+    assert e.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from approxagg.bitfn import BoolFn, constant, dictator, distance_uniform, linear, majority
-from approxagg.fourier import (
-    FourierSpectrum,
-    character,
-    coefficient_distance_relation,
-    generalized_hoelder_holds,
-    inverse,
-    spectral_sum,
-    transform,
-    triple_product_identity,
-)
+from approxagg.fourier import FourierSpectrum, character, inverse, spectral_sum, transform
+from approxagg.mechanism import hoeffding_halfwidth
+from approxagg.theorems import blr_three_function
 
 MAJ3 = majority(3)
 
@@ -62,44 +55,36 @@ def test_inverse_rejects_non_boolean():
 
 @given(fns(), st.integers(0, 15))
 def test_coefficient_distance(f, mask):
+    # f_hat(S) = 1 - 2 d(f, chi_S) = 2 d(f, -chi_S) - 1
     mask &= (1 << f.arity) - 1
-    coeff, d_plus, d_minus = coefficient_distance_relation(f, mask)
-    assert coeff == 1 - 2 * d_plus == 2 * d_minus - 1
+    chi = character(mask, f.arity)
+    coeff = transform(f).coefficient(mask)
+    assert coeff == 1 - 2 * distance_uniform(f, chi) == 2 * distance_uniform(f, chi.negate()) - 1
 
 
 def test_triple_product_exact_majority():
-    lhs, rhs = triple_product_identity([MAJ3, MAJ3, MAJ3])
-    assert lhs == rhs == Fraction(1, 4)
+    # E[f(x) g(y) h(x xor y)] in the sign semantics is 2 acceptance - 1 of
+    # the linearity test, which counts all pairs (x, y)
+    acceptance = blr_three_function(MAJ3, MAJ3, MAJ3).detail["acceptance"]
+    assert 2 * acceptance - 1 == spectral_sum([MAJ3, MAJ3, MAJ3]) == Fraction(1, 4)
 
 
 def test_triple_product_exact_pairs():
     # two functions: E[f(x) g(x)] in the sign semantics
     f, g = MAJ3, dictator(1, 3)
-    lhs, rhs = triple_product_identity([f, g])
-    assert lhs == rhs == 1 - 2 * distance_uniform(f, g)
+    assert spectral_sum([f, g]) == 1 - 2 * distance_uniform(f, g)
 
 
 def test_triple_product_mc_brackets_exact():
-    (estimate, (lo, hi)), rhs = triple_product_identity(
-        [MAJ3, MAJ3, MAJ3], mode="mc", samples=20_000, seed=11)
-    assert lo <= float(rhs) <= hi
-    assert lo <= estimate <= hi
-
-
-def test_triple_product_requires_seed():
-    with pytest.raises(ValueError):
-        triple_product_identity([MAJ3, MAJ3], mode="mc")
+    r = blr_three_function(MAJ3, MAJ3, MAJ3, mode="mc", samples=20_000, seed=11)
+    exact = (1 + spectral_sum([MAJ3, MAJ3, MAJ3])) / 2
+    assert abs(float(r.detail["acceptance"] - exact)) <= hoeffding_halfwidth(20_000)
 
 
 def test_spectral_sum_constant():
     # all-zero functions: only the empty character contributes
     z = constant(0, 2)
     assert spectral_sum([z, z, z]) == 1
-
-
-@given(st.lists(st.integers(0, 255).map(lambda t: BoolFn(3, t)), min_size=2, max_size=4))
-def test_generalized_hoelder(fs):
-    assert generalized_hoelder_holds([transform(f) for f in fs])
 
 
 def test_sign_convention():

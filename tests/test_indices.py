@@ -15,24 +15,20 @@ from approxagg.agenda import (
 from approxagg.bitfn import BoolFn, constant, dictator, majority, oligarchy
 from approxagg.indices import (
     conjunction_counts,
-    consistency_test,
     dependency_index,
     dependency_index_max,
     fix_issue_dependency,
     ic_conjunction,
     ic_xor,
     inconsistency_index,
-    independence_test,
     independent_approximation,
     min_ic_over_conclusion,
-    nearest_consistent,
 )
 from approxagg.mechanism import (
     IndependentMechanism,
     TableMechanism,
     apply,
     closed_families,
-    maj_mechanism,
     mech_distance_exact,
     output_vector,
     perturb,
@@ -52,7 +48,7 @@ def random_table(agenda, voters, rng):
 
 
 def test_ic_systematic_majority():
-    assert inconsistency_index(maj_mechanism(3, 3), CONJ2, 3).value == Fraction(3, 32)
+    assert inconsistency_index(systematic(majority(3), 3), CONJ2, 3).value == Fraction(3, 32)
 
 
 def test_ic_closed_families_zero():
@@ -84,11 +80,13 @@ def test_ic_conjunction_fast_path_matches_enumeration():
 
 
 def test_ic_xor_fast_path_matches_enumeration():
+    # xor:1 has two issues: its ic_xor is a two-function spectral sum
     rng = random.Random(9)
-    for _ in range(40):
-        fns = [BoolFn(2, rng.randrange(16)) for _ in range(3)]
-        F = IndependentMechanism(tuple(fns))
-        assert ic_xor(fns) == inconsistency_index(F, XOR2, 2).value
+    for agenda in (XOR2, xor_agenda(1).expand()):
+        for _ in range(40):
+            fns = [BoolFn(2, rng.randrange(16)) for _ in range(agenda.issues)]
+            F = IndependentMechanism(tuple(fns))
+            assert ic_xor(fns) == inconsistency_index(F, agenda, 2).value
 
 
 def test_conjunction_counts_totals():
@@ -102,7 +100,7 @@ def test_ic_mc_within_ci():
     exact = float(Fraction(3, 32))
     hits = 0
     for seed in range(40):
-        r = inconsistency_index(maj_mechanism(3, 3), CONJ2, 3, mode="mc",
+        r = inconsistency_index(systematic(majority(3), 3), CONJ2, 3, mode="mc",
                                 samples=20_000, seed=seed)
         hits += r.ci[0] <= exact <= r.ci[1]
     assert hits >= 39
@@ -110,7 +108,7 @@ def test_ic_mc_within_ci():
 
 def test_ic_mc_requires_seed():
     with pytest.raises(ValueError):
-        inconsistency_index(maj_mechanism(3, 3), CONJ2, 3, mode="mc")
+        inconsistency_index(systematic(majority(3), 3), CONJ2, 3, mode="mc")
 
 
 def test_min_ic_over_conclusion():
@@ -134,8 +132,8 @@ def test_min_ic_is_minimal_over_h_sweep():
 
 def test_di_independent_is_zero():
     for j in (1, 2, 3):
-        assert dependency_index(maj_mechanism(3, 3), CONJ2, 3, j).value == 0
-    assert dependency_index_max(maj_mechanism(3, 3), CONJ2, 3).value == 0
+        assert dependency_index(systematic(majority(3), 3), CONJ2, 3, j).value == 0
+    assert dependency_index_max(systematic(majority(3), 3), CONJ2, 3).value == 0
 
 
 def test_di_exact_matches_double_enumeration():
@@ -172,29 +170,10 @@ def test_di_detects_cross_issue_copy():
 
 
 def test_di_mc_within_ci():
-    F = perturb(maj_mechanism(3, 3), CONJ2, 3, 0.5, seed=5)
+    F = perturb(systematic(majority(3), 3), CONJ2, 3, 0.5, seed=5)
     exact = float(dependency_index(F, CONJ2, 3, 1).value)
     r = dependency_index(F, CONJ2, 3, 1, mode="mc", samples=20_000, seed=6)
     assert r.ci[0] <= exact <= r.ci[1]
-
-
-def test_single_shot_tests():
-    F = maj_mechanism(3, 3)
-    G = systematic(oligarchy(0b111, 3), 3)
-    assert all(consistency_test(G, CONJ2, 3, seed) for seed in range(50))
-    assert all(independence_test(F, CONJ2, 3, 1, seed) for seed in range(50))
-    rejects = sum(not consistency_test(F, CONJ2, 3, seed) for seed in range(4000))
-    assert abs(rejects / 4000 - 3 / 32) < 0.02
-
-
-def test_nearest_consistent_distance_is_ic():
-    rng = random.Random(31)
-    for _ in range(30):
-        F = random_table(CONJ2, 2, rng)
-        H = nearest_consistent(F, CONJ2, 2)
-        ic = inconsistency_index(F, CONJ2, 2).value
-        assert inconsistency_index(H, CONJ2, 2).value == 0
-        assert mech_distance_exact(F, H, CONJ2, 2) == ic
 
 
 def test_fix_issue_dependency():

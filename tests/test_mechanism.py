@@ -11,11 +11,8 @@ from approxagg.mechanism import (
     Profile,
     TableMechanism,
     apply,
-    as_table,
     closed_families,
-    flip_profiles,
     hoeffding_halfwidth,
-    maj_mechanism,
     mech_distance_exact,
     mech_distance_mc,
     output_vector,
@@ -44,7 +41,7 @@ def test_profile_indexing_round_trip():
 def test_doctrinal_paradox_profile():
     rows = tuple(CONJ2.consistent.index(opinion_from_str(s))
                  for s in ("111", "100", "010"))
-    out = apply(maj_mechanism(3, 3), CONJ2, Profile(rows))
+    out = apply(systematic(majority(3), 3), CONJ2, Profile(rows))
     assert out == opinion_from_str("110")
     assert not CONJ2.is_consistent(out)
 
@@ -63,13 +60,13 @@ def test_apply_trivial_mechanisms():
 
 def test_apply_validates():
     with pytest.raises(ValueError):
-        apply(maj_mechanism(3, 3), CONJ2, Profile((0, 0, 9)))
+        apply(systematic(majority(3), 3), CONJ2, Profile((0, 0, 9)))
     with pytest.raises(ValueError):
-        apply(maj_mechanism(3, 2), CONJ2, Profile((0, 0, 0)))
+        apply(systematic(majority(3), 2), CONJ2, Profile((0, 0, 0)))
 
 
 def test_distance_identity_and_symmetry():
-    F = maj_mechanism(3, 3)
+    F = systematic(majority(3), 3)
     G = IndependentMechanism((majority(3), majority(3), dictator(1, 3)))
     assert mech_distance_exact(F, F, CONJ2, 3) == 0
     assert (mech_distance_exact(F, G, CONJ2, 3)
@@ -79,7 +76,7 @@ def test_distance_identity_and_symmetry():
 def test_distance_majority_vs_dictator_conclusion():
     # issues 1, 2 agree; the conclusion column has i.i.d. Bernoulli(1/4) bits,
     # and majority differs from dictator_1 on the patterns 001 and 110
-    F = maj_mechanism(3, 3)
+    F = systematic(majority(3), 3)
     G = IndependentMechanism((majority(3), majority(3), dictator(1, 3)))
     assert mech_distance_exact(F, G, CONJ2, 3) == Fraction(12, 64)
 
@@ -93,7 +90,7 @@ def test_distance_triangle_random():
 
 
 def test_distance_mc_brackets_exact():
-    F = maj_mechanism(3, 3)
+    F = systematic(majority(3), 3)
     G = IndependentMechanism((majority(3), majority(3), dictator(1, 3)))
     exact = mech_distance_exact(F, G, CONJ2, 3)
     estimate, (lo, hi) = mech_distance_mc(F, G, CONJ2, 3, samples=50_000, seed=3)
@@ -105,17 +102,18 @@ OLIG2 = systematic(oligarchy(0b11, 2), 3)  # two voters, three issues
 
 
 def test_as_table_matches_apply():
-    T = as_table(OLIG2, CONJ2, 2)
-    by_apply = [apply(OLIG2, CONJ2, profile_from_index(CONJ2, 2, i)) for i in range(16)]
+    T = TableMechanism(CONJ2, 2, output_vector(OLIG2, CONJ2, 2))
+    profiles = [profile_from_index(CONJ2, 2, i) for i in range(16)]
+    by_apply = [apply(OLIG2, CONJ2, p) for p in profiles]
     assert output_vector(T, CONJ2, 2).tolist() == by_apply
     assert output_vector(OLIG2, CONJ2, 2).tolist() == by_apply
+    assert [apply(T, CONJ2, p) for p in profiles] == by_apply
 
 
 def test_perturb_rate_zero_and_one():
     F = OLIG2
     assert mech_distance_exact(F, perturb(F, CONJ2, 2, 0.0, seed=1), CONJ2, 2) == 0
-    flipped = flip_profiles(F, CONJ2, 2, {i: out ^ 0b111 for i, out in
-                                          enumerate(output_vector(F, CONJ2, 2))})
+    flipped = TableMechanism(CONJ2, 2, output_vector(F, CONJ2, 2) ^ 0b111)
     assert mech_distance_exact(F, flipped, CONJ2, 2) == 1
 
 

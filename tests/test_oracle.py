@@ -10,7 +10,6 @@ from approxagg.indices import inconsistency_index
 from approxagg.mechanism import (
     IndependentMechanism,
     closed_families,
-    maj_mechanism,
     mech_distance_exact,
     systematic,
 )
@@ -29,8 +28,8 @@ def test_enumeration_members_are_consistent():
 def test_pruned_equals_generic():
     for tf in (CONJ2, xor_agenda(2)):
         agenda = tf.expand()
-        pruned = enumerate_ci(agenda, 2, "x", tf=tf, mode="pruned")
-        generic = enumerate_ci(agenda, 2, "x", mode="generic")
+        pruned = enumerate_ci(agenda, 2, "x", tf=tf)
+        generic = enumerate_ci(agenda, 2, "x")
         assert [m.serialize() for m in pruned.mechanisms] == \
                [m.serialize() for m in generic.mechanisms]
 
@@ -51,7 +50,7 @@ def test_characterizations_n1():
 def test_nearest_ci_systematic_majority():
     agenda = CONJ2.expand()
     family = enumerate_ci(agenda, 3, "conjunction:2", tf=CONJ2)
-    F = maj_mechanism(3, 3)
+    F = systematic(majority(3), 3)
     member, distance = nearest_ci(F, agenda, 3, family)
     assert distance == Fraction(7, 16)
     assert len(family.mechanisms) == 519  # 2^3 oligarchic + 2*2^8 - 1 collapsed
@@ -71,7 +70,7 @@ def test_nearest_ci_deterministic_tie_break():
 
 def test_enumeration_budget_guard():
     with pytest.raises(ValueError):
-        enumerate_ci(conjunction_agenda(3).expand(), 3, "big", mode="generic")
+        enumerate_ci(conjunction_agenda(3).expand(), 3, "big")
 
 
 def test_family_serialization():
@@ -85,7 +84,7 @@ def test_degenerate_conclusion_free_columns():
     # the conclusion table anywhere off the constant column
     tf = TruthFunctionalAgenda(1, (Conclusion("XOR", 0),))
     agenda = tf.expand()
-    pruned = enumerate_ci(agenda, 1, "deg", tf=tf, mode="pruned")
-    generic = enumerate_ci(agenda, 1, "deg", mode="generic")
+    pruned = enumerate_ci(agenda, 1, "deg", tf=tf)
+    generic = enumerate_ci(agenda, 1, "deg")
     assert [m.serialize() for m in pruned.mechanisms] == \
            [m.serialize() for m in generic.mechanisms]

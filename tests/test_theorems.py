@@ -18,7 +18,6 @@ from approxagg.indices import min_ic_over_conclusion
 from approxagg.mechanism import (
     IndependentMechanism,
     closed_families,
-    maj_mechanism,
     perturb,
     systematic,
 )
@@ -48,7 +47,7 @@ def test_mand_closed_family_member():
 
 
 def test_mand_systematic_majority():
-    r = check_mand(maj_mechanism(3, 3), 2, 3)
+    r = check_mand(systematic(majority(3), 3), 2, 3)
     assert r.ic == Fraction(3, 32)
     assert r.bound == pytest.approx(10 * (9 * 3 / 32) ** (1 / 5))
     assert r.distance == Fraction(7, 16)
@@ -89,6 +88,13 @@ def test_relax_consistent_independent_input():
     r = check_relax(F, "conjunction:2", agenda, 2, epsilon=0.5)
     assert r.status == "satisfied"
     assert r.ic == 0 and r.di == 0 and r.distance == 0
+
+
+def test_relax_bound_of_one_is_vacuous():
+    chi = linear(0b11, 2)
+    F = IndependentMechanism((chi, chi, chi))
+    r = check_relax(F, "xor:2", xor_agenda(2).expand(), 2, epsilon=1.5)
+    assert r.distance == 0 and r.status == "vacuous"
 
 
 def test_relax_beta_zero_on_independent_input():
@@ -259,8 +265,32 @@ def test_blr_mc_mode():
         blr_three_function(chi, chi, chi, mode="mc")
 
 
+def test_recomputed_status_matches_every_check():
+    # random tuples, and closed-family members with one table bit flipped,
+    # so that every verdict branch is reached
+    rng = random.Random(71)
+    conj, xor = conjunction_agenda(2).expand(), xor_agenda(2).expand()
+    near = closed_families("conjunction:2", 2) + closed_families("xor:2", 2)
+    reports = []
+    for _ in range(60):
+        if rng.random() < 0.5:
+            fns = [BoolFn(2, rng.randrange(16)) for _ in range(3)]
+        else:
+            fns = list(rng.choice(near).fns)
+            j = rng.randrange(3)
+            fns[j] = BoolFn(2, fns[j].table ^ (1 << rng.randrange(4)))
+        F = IndependentMechanism(tuple(fns))
+        reports += [check_mand(F, 2, 2), check_mxor(F, 3, 2), blr_three_function(*fns)]
+        for kind, agenda in (("conjunction:2", conj), ("xor:2", xor)):
+            epsilon = rng.choice([0.05, 0.25, 0.9, 1.5])
+            reports.append(check_relax(F, kind, agenda, 2, epsilon))
+    for r in reports:
+        assert r.recompute_status() == r.status, r
+    assert {r.status for r in reports} >= {"satisfied", "vacuous", "not-applicable"}
+
+
 def test_bound_report_csv_row():
-    r = check_mand(maj_mechanism(3, 3), 2, 3)
+    r = check_mand(systematic(majority(3), 3), 2, 3)
     row = r.csv_row()
     assert len(row) == 13
     assert row[0] == "mand"
