@@ -197,6 +197,8 @@ class AffineAgenda:
         # checked before opinions() enumerates all 2^issues candidates
         if not 1 <= self.issues <= MAX_ISSUES:
             raise ValueError(f"issue count must be in [1, {MAX_ISSUES}]")
+        if any(row >> self.issues for row in self.rows) or self.shift >> self.issues:
+            raise ValueError(f"a row or the shift has bits above issue {self.issues}")
         if gf2_rank(list(self.rows), self.issues) != len(self.rows):
             raise ValueError("constraint matrix must have full rank")
 

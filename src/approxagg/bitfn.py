@@ -100,24 +100,25 @@ def constant(bit: int, n: int) -> BoolFn:
     return BoolFn(n, ((1 << (1 << n)) - 1) if bit else 0)
 
 
+def _inputs(n: int):
+    """Every input index 0..2^n-1 as an array, for building truth tables."""
+    import numpy as np
+
+    return np.arange(1 << n, dtype=np.uint32)
+
+
 def oligarchy(members: int, n: int) -> BoolFn:
     """f(x) = 1 iff every coalition member voted 1 (empty coalition -> constant 1)."""
     _check_coalition(members, n)
-    table = 0
-    for x in range(1 << n):
-        if x & members == members:
-            table |= 1 << x
-    return BoolFn(n, table)
+    return BoolFn.from_bits(n, _inputs(n) & members == members)
 
 
 def linear(members: int, n: int) -> BoolFn:
     """Xor of the coalition members' bits (empty coalition -> constant 0)."""
+    import numpy as np
+
     _check_coalition(members, n)
-    table = 0
-    for x in range(1 << n):
-        if popcount(x & members) & 1:
-            table |= 1 << x
-    return BoolFn(n, table)
+    return BoolFn.from_bits(n, np.bitwise_count(_inputs(n) & members) & 1)
 
 
 def dictator(i: int, n: int) -> BoolFn:
@@ -132,11 +133,9 @@ def majority(n: int, support: int | None = None) -> BoolFn:
     k = popcount(support)
     if k % 2 == 0:
         raise ValueError("majority requires an odd number of supporting voters")
-    table = 0
-    for x in range(1 << n):
-        if 2 * popcount(x & support) > k:
-            table |= 1 << x
-    return BoolFn(n, table)
+    import numpy as np
+
+    return BoolFn.from_bits(n, 2 * np.bitwise_count(_inputs(n) & support) > k)
 
 
 def classify(f: BoolFn) -> dict[str, int | None]:

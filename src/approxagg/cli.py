@@ -123,13 +123,14 @@ def _positive(text: str) -> int:
 # output helpers
 
 
-def _emit(lines: list[str], path: str | None):
-    text = "\n".join(lines) + "\n"
+def _emit(lines, path: str | None):
+    """Write each of the lines (any iterable of strings) and a newline to
+    path, or to stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(f"{line}\n" for line in lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 INDEX_HEADER = ("mechanism,agenda,index,issue,mode,value_num,value_log2den,"
@@ -277,10 +278,14 @@ def _cmd_blr(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     f = build_fn(args.fn, args.voters)
-    lines = ["mask,numerator,log2_denominator"]
-    lines += [f"{mask},{num},{logden}"
-              for mask, num, logden in transform(f).serialize_rows()]
-    _emit(lines, args.output)
+
+    def lines():
+        # made while written: the 2^n lines are never all held at once
+        yield "mask,numerator,log2_denominator"
+        for mask, num, logden in transform(f).serialize_rows():
+            yield f"{mask},{num},{logden}"
+
+    _emit(lines(), args.output)
     return 0
 
 
@@ -295,8 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, mech=False):
         p.add_argument("--output")
         p.add_argument("--voters", type=int, default=3)
+        # argparse converts a string default with `type` only when the
+        # flag is absent, so a bad variable is a usage error (exit 2)
         p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("APPROXAGG_WORKERS", "1")))
+                       default=os.environ.get("APPROXAGG_WORKERS", "1"))
         p.add_argument("--strict", action="store_true")
         if mech:
             p.add_argument("--mech", required=True)

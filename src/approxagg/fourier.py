@@ -8,14 +8,11 @@ correlation sums, and coefficient(S) = weights[S] / 2^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitfn import BoolFn, linear
-
-
-def sign(bit: int) -> int:
-    return 1 - 2 * bit
 
 
 @dataclass(frozen=True)
@@ -29,41 +26,48 @@ class FourierSpectrum:
         return Fraction(self.weights[mask], 1 << self.arity)
 
     def serialize_rows(self) -> list[tuple[int, int, int]]:
-        """Spectrum as (mask, numerator, log2_denominator) CSV rows."""
+        """Spectrum as (mask, numerator, log2_denominator) CSV rows of each
+        coefficient in lowest terms (0 is 0/2^0)."""
         rows = []
+        n = self.arity
         for mask, w in enumerate(self.weights):
-            c = self.coefficient(mask)
-            rows.append((mask, c.numerator, (c.denominator - 1).bit_length()))
+            # |w| <= 2^n, so w / 2^n reduces by w's trailing zero bits
+            zeros = (w & -w).bit_length() - 1 if w else n
+            rows.append((mask, w >> zeros, n - zeros))
         return rows
 
 
-def _fwht(values: list[int]) -> list[int]:
-    out = list(values)
+def _fwht(values):
+    """Unnormalised Walsh-Hadamard transform of a length-2^n int64 array."""
+    import numpy as np
+
+    out = np.asarray(values, dtype=np.int64)
     h = 1
-    while h < len(out):
-        for i in range(0, len(out), h * 2):
-            for j in range(i, i + h):
-                a, b = out[j], out[j + h]
-                out[j], out[j + h] = a + b, a - b
+    while h < out.size:
+        # pairs (j, j + h) inside each block of 2h entries
+        out = out.reshape(-1, 2, h)
+        out = np.stack((out[:, 0] + out[:, 1], out[:, 0] - out[:, 1]), axis=1)
         h *= 2
-    return out
+    return out.reshape(-1)
 
 
 def transform(f: BoolFn) -> FourierSpectrum:
-    signs = [sign((f.table >> x) & 1) for x in range(f.size)]
-    return FourierSpectrum(f.arity, tuple(_fwht(signs)))
+    """Spectrum of f, computed once per BoolFn and kept on it."""
+    spectrum = vars(f).get("_spectrum")
+    if spectrum is None:
+        signs = 1 - 2 * f.bits.astype("int64")
+        spectrum = FourierSpectrum(f.arity, tuple(_fwht(signs).tolist()))
+        # as functools.cached_property does on the frozen dataclass
+        vars(f)["_spectrum"] = spectrum
+    return spectrum
 
 
 def inverse(spectrum: FourierSpectrum) -> BoolFn:
-    values = _fwht(list(spectrum.weights))
+    values = _fwht(spectrum.weights)
     size = 1 << spectrum.arity
-    table = 0
-    for x, v in enumerate(values):
-        if v not in (size, -size):
-            raise ValueError("spectrum is not a +-1-valued function")
-        if v == -size:
-            table |= 1 << x
-    return BoolFn(spectrum.arity, table)
+    if ((values != size) & (values != -size)).any():
+        raise ValueError("spectrum is not a +-1-valued function")
+    return BoolFn.from_bits(spectrum.arity, values == -size)
 
 
 def character(mask: int, n: int) -> BoolFn:
@@ -73,14 +77,7 @@ def character(mask: int, n: int) -> BoolFn:
 
 def spectral_product_total(fs: list[BoolFn]) -> int:
     """sum_S prod_j weights_j[S]: 2^(n len(fs)) times sum_S prod_j f^j_hat(S)."""
-    specs = [transform(f).weights for f in fs]
-    total = 0
-    for mask in range(1 << fs[0].arity):
-        prod = 1
-        for w in specs:
-            prod *= w[mask]
-        total += prod
-    return total
+    return sum(map(math.prod, zip(*(transform(f).weights for f in fs))))
 
 
 def spectral_sum(fs: list[BoolFn]) -> Fraction:

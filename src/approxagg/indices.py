@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .agenda import Agenda
 from .bitfn import BoolFn, popcount
@@ -88,9 +89,13 @@ def moebius_superset(values: list[int], n: int) -> list[int]:
     return out
 
 
-def conjunction_counts(premise_fns: list[BoolFn]) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=1)
+def conjunction_counts(premise_fns: tuple[BoolFn, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per AND-column value z: number of premise-column tuples with that
     coordinatewise AND, and how many of them make every premise function 1.
+
+    The last result is kept: a conjunction sweep asks for the same premise
+    tuple once per conclusion function, one after another.
     """
     n = premise_fns[0].arity
     m = len(premise_fns)
@@ -99,8 +104,8 @@ def conjunction_counts(premise_fns: list[BoolFn]) -> tuple[list[int], list[int]]
     for f in premise_fns:
         ones = zeta_superset([(f.table >> x) & 1 for x in range(size)], n)
         prod = [p * c for p, c in zip(prod, ones)]
-    all_one = moebius_superset(prod, n)
-    totals = [(2**m - 1) ** (n - popcount(z)) for z in range(size)]
+    all_one = tuple(moebius_superset(prod, n))
+    totals = tuple((2**m - 1) ** (n - popcount(z)) for z in range(size))
     return totals, all_one
 
 
@@ -108,10 +113,10 @@ def ic_conjunction(premise_fns: list[BoolFn], h: BoolFn) -> Fraction:
     """Exact inconsistency index of <f^1..f^m, h> on the conjunction agenda."""
     n = premise_fns[0].arity
     m = len(premise_fns)
-    totals, all_one = conjunction_counts(premise_fns)
-    bad = 0
-    for z in range(1 << n):
-        bad += totals[z] - all_one[z] if h.evaluate(z) else all_one[z]
+    totals, all_one = conjunction_counts(tuple(premise_fns))
+    table = h.table
+    bad = sum(total - ones if (table >> z) & 1 else ones
+              for z, (total, ones) in enumerate(zip(totals, all_one)))
     return Fraction(bad, 1 << (m * n))
 
 
@@ -128,7 +133,7 @@ def min_ic_over_conclusion(premise_fns: list[BoolFn]) -> tuple[Fraction, BoolFn]
     conclusion function, with the minimizing function (ties resolved to 1)."""
     n = premise_fns[0].arity
     m = len(premise_fns)
-    totals, all_one = conjunction_counts(premise_fns)
+    totals, all_one = conjunction_counts(tuple(premise_fns))
     best = 0
     table = 0
     for z in range(1 << n):

@@ -45,10 +45,15 @@ def enumerate_ci(agenda: Agenda, voters: int, agenda_id: str = "",
     sweeps premise tuples only: consistency forces the conclusion function
     pointwise, so each premise tuple admits at most one member.  Otherwise
     the generic path sweeps every per-issue function tuple and keeps the
-    consistent ones.
+    consistent ones.  Either path refuses a sweep over CANDIDATE_BUDGET
+    candidates (pruned: premise tuples times premise matrices).
     """
     n_tables = 1 << (1 << voters)
     if tf is not None and len(tf.conclusions) == 1:
+        work = (n_tables << voters) ** tf.premises
+        if work > CANDIDATE_BUDGET:
+            raise ValueError(f"{work} premise tuples times premise matrices exceed "
+                             f"the enumeration budget {CANDIDATE_BUDGET}")
         members = _enumerate_pruned(tf, voters, n_tables)
     else:
         if n_tables**agenda.issues > CANDIDATE_BUDGET:
@@ -71,6 +76,10 @@ def _enumerate_generic(agenda: Agenda, voters: int,
     return members
 
 
+# premise-tuple rows per block times premise matrices: bounds the work arrays
+PRUNED_BLOCK = 1 << 20
+
+
 def _enumerate_pruned(tf: TruthFunctionalAgenda, voters: int,
                       n_tables: int) -> list[IndependentMechanism]:
     """Sweep premise tuples; derive the unique conclusion table when one exists.
@@ -79,48 +88,55 @@ def _enumerate_pruned(tf: TruthFunctionalAgenda, voters: int,
     function agrees with the conclusion formula applied to the premise
     aggregates on every premise matrix; this pins the conclusion value at
     every reachable conclusion column and rules the tuple out on conflict.
+    One array holds the wanted conclusion bit of every premise tuple (row)
+    on every premise matrix (column), with the matrices grouped by their
+    conclusion column.
     """
+    import numpy as np
+
     k = tf.premises
     concl = tf.conclusions[0]
     size = 1 << voters
-    members = []
-    fns = [BoolFn(voters, t) for t in range(n_tables)]
-    matrices = [(cols, _conclusion_column(concl, cols, voters))
-                for cols in itertools.product(range(size), repeat=k)]
-    for tup in itertools.product(fns, repeat=k):
-        required: dict[int, int] = {}
-        ok = True
-        for cols, ccol in matrices:
-            premise_bits = 0
-            for j, col in enumerate(cols):
-                premise_bits |= ((tup[j].table >> col) & 1) << j
-            want = concl.evaluate(premise_bits)
-            if required.setdefault(ccol, want) != want:
-                ok = False
-                break
-        if not ok:
-            continue
-        base = 0
-        for ccol, bit in required.items():
-            base |= bit << ccol
-        free_cols = [c for c in range(size) if c not in required]
-        # unreachable conclusion columns leave the conclusion table free there
-        for bits in itertools.product((0, 1), repeat=len(free_cols)):
-            table = base
-            for c, b in zip(free_cols, bits):
-                table |= b << c
-            members.append(IndependentMechanism(tup + (BoolFn(voters, table),)))
-    return members
-
-
-def _conclusion_column(concl, cols, voters: int) -> int:
-    out = 0
+    # premise matrices as (matrix, premise) column values, and the truth
+    # table of the conclusion formula over the 2^k premise bits
+    matrices = np.array(list(itertools.product(range(size), repeat=k)),
+                        dtype=np.intp).reshape(-1, k)
+    formula = np.array([concl.evaluate(p) for p in range(1 << k)], dtype=np.uint8)
+    ccol = np.zeros(len(matrices), dtype=np.intp)
     for i in range(voters):
-        premises = 0
-        for j, col in enumerate(cols):
-            premises |= ((col >> i) & 1) << j
-        out |= concl.evaluate(premises) << i
-    return out
+        premises = ((matrices >> i) & 1) << np.arange(k)
+        ccol |= formula[premises.sum(axis=1)].astype(np.intp) << i
+    order = np.argsort(ccol, kind="stable")
+    matrices, ccol = matrices[order], ccol[order]
+    starts = np.flatnonzero(np.r_[True, ccol[1:] != ccol[:-1]])
+    reached = ccol[starts].tolist()
+    free_cols = [c for c in range(size) if c not in reached]
+    # table_bits[t, c]: value of BoolFn(voters, t) on column c
+    table_bits = ((np.arange(n_tables)[:, None] >> np.arange(size)) & 1).astype(np.uint8)
+    bits_dtype = np.min_scalar_type((1 << k) - 1)
+    n_tuples = n_tables**k
+    step = max(1, PRUNED_BLOCK // len(matrices))
+    members = []
+    for lo in range(0, n_tuples, step):
+        rows = np.arange(lo, min(lo + step, n_tuples))
+        premise_bits = np.zeros((len(rows), len(matrices)), dtype=bits_dtype)
+        for j in range(k):
+            t_j = rows // n_tables ** (k - 1 - j) % n_tables
+            premise_bits |= table_bits[t_j][:, matrices[:, j]].astype(bits_dtype) << j
+        want = formula[premise_bits]
+        low = np.minimum.reduceat(want, starts, axis=1)
+        ok = (low == np.maximum.reduceat(want, starts, axis=1)).all(axis=1)
+        for u, required in zip(rows[ok].tolist(), low[ok].tolist()):
+            tup = tuple(BoolFn(voters, u // n_tables ** (k - 1 - j) % n_tables)
+                        for j in range(k))
+            base = sum(bit << c for bit, c in zip(required, reached))
+            # unreachable conclusion columns leave the conclusion table free there
+            for bits in itertools.product((0, 1), repeat=len(free_cols)):
+                table = base
+                for c, b in zip(free_cols, bits):
+                    table |= b << c
+                members.append(IndependentMechanism(tup + (BoolFn(voters, table),)))
+    return members
 
 
 def nearest_ci(F: Mechanism, agenda: Agenda, voters: int,

@@ -27,7 +27,7 @@ from .bitfn import (
     junta_projection,
     popcount,
 )
-from .fourier import character, spectral_sum
+from .fourier import character, spectral_sum, transform
 from .indices import (
     dependency_index_max,
     ic_conjunction,
@@ -39,6 +39,8 @@ from .indices import (
 from .mechanism import (
     IndependentMechanism,
     Mechanism,
+    _profile_columns,
+    _uint_dtype,
     closed_families,
     consistent_mask,
     mech_distance_exact,
@@ -131,7 +133,9 @@ def and_bound(m_premises: int, n: int, epsilon: Fraction) -> float:
     m = m_premises
     if epsilon == 0:
         return 0.0
-    return 5 * m * float(n * n * epsilon) ** (1 / (m * m + m - 1))
+    # the correctly rounded n^2 eps, as float(n * n * epsilon) gives it
+    scaled = n * n * epsilon.numerator / epsilon.denominator
+    return 5 * m * scaled ** (1 / (m * m + m - 1))
 
 
 def check_mand(F: IndependentMechanism, m_premises: int, n: int,
@@ -227,29 +231,42 @@ def sweep_mxor(m_issues: int, n: int, workers: int = 1):
 
 
 def _sweep_mxor_chunk(args):
+    import numpy as np
+
     m_issues, n, lo, hi = args
     agenda = xor_agenda(m_issues - 1).expand()
     family_outputs = _family_outputs(f"xor:{m_issues - 1}", agenda, n)
     inconsistent = ~consistent_mask(agenda)
     n_tables = 1 << (1 << n)
     fns = [BoolFn(n, t) for t in range(n_tables)]
+    # parts[j][t]: issue j+1's output bits over the profile space under fns[t]
+    tables = np.stack([f.bits for f in fns])
+    cols = _profile_columns(agenda, n)
+    profiles = cols.shape[1]
+    dtype = _uint_dtype(m_issues)
+    parts = [tables[:, cols[j]].astype(dtype) << j for j in range(m_issues)]
+    # output rows of every `rest` tuple, in itertools.product order
+    rest_rows = np.zeros((1, profiles), dtype=dtype)
+    for part in parts[1:]:
+        rest_rows = (rest_rows[:, None, :] | part[None, :, :]).reshape(-1, profiles)
+    # the enumerated IC of each possible inconsistent-profile count
+    enumerated = [Fraction(bad, profiles) for bad in range(profiles + 1)]
     violations = []
     mismatches = []
     sixth = Fraction(1, 6)
     for t0 in range(lo, hi):
-        for rest in itertools.product(fns, repeat=m_issues - 1):
+        rows = rest_rows | parts[0][t0]
+        bad = np.count_nonzero(inconsistent[rows], axis=1).tolist()
+        for r, rest in enumerate(itertools.product(fns, repeat=m_issues - 1)):
             tup = (fns[t0],) + rest
-            F = IndependentMechanism(tup)
             eps = ic_xor(list(tup))
-            target = output_vector(F, agenda, n)
-            enumerated = Fraction(int(inconsistent[target].sum()), len(target))
-            if enumerated != eps:
-                mismatches.append(_one_line(F))
+            if enumerated[bad[r]] != eps:
+                mismatches.append(_one_line(IndependentMechanism(tup)))
             if eps >= sixth:
                 continue
-            distance = Fraction(_fewest_mismatches(family_outputs, target), len(target))
+            distance = Fraction(_fewest_mismatches(family_outputs, rows[r]), profiles)
             if verdict(distance, float(m_issues * eps), CLOSED_BOUND["mxor"]) == "violated":
-                violations.append(_one_line(F))
+                violations.append(_one_line(IndependentMechanism(tup)))
     return violations, mismatches
 
 
@@ -444,20 +461,18 @@ def blr_three_function(f: BoolFn, g: BoolFn, h: BoolFn, mode: str = "exact",
                        samples: int = 100_000, seed: int | None = None) -> BoundReport:
     """Three-function linearity: high acceptance of f(x) xor g(y) = h(x xor y)
     yields a common character (up to sign-consistent negations) close to all
-    three functions."""
+    three functions.
+
+    The exact acceptance over all (x, y) is (1 + sum_S f_hat g_hat h_hat(S))/2,
+    and the distance of a function to chi_S or its negation is
+    (1 -+ f_hat(S))/2, so everything exact comes from the three spectra.
+    """
     if not f.arity == g.arity == h.arity:
         raise ValueError("arity mismatch")
     n = f.arity
+    spectral = (1 + spectral_sum([f, g, h])) / 2
     if mode == "exact":
-        if 2 * n > 26:
-            raise ValueError("exact mode needs 2n <= 26")
-        agree = 0
-        for x in range(f.size):
-            fx = f.evaluate(x)
-            for y in range(f.size):
-                if fx ^ g.evaluate(y) == h.evaluate(x ^ y):
-                    agree += 1
-        acceptance = Fraction(agree, f.size**2)
+        acceptance = spectral
     elif mode == "mc":
         if seed is None:
             raise ValueError("mc mode requires a seed")
@@ -472,27 +487,12 @@ def blr_three_function(f: BoolFn, g: BoolFn, h: BoolFn, mode: str = "exact",
     else:
         raise ValueError(f"unknown mode {mode!r}")
     eps = 1 - acceptance
-    detail = {"acceptance": acceptance,
-              "spectral": (1 + spectral_sum([f, g, h])) / 2}
+    detail = {"acceptance": acceptance, "spectral": spectral}
     if eps >= Fraction(1, 6):
         return BoundReport("blr", "xor:2", n, 3, "not-applicable", ic=eps,
                            detail=detail)
-    best = None
-    for mask in range(1 << n):
-        chi = character(mask, n)
-        neg = chi.negate()
-        for sa, sb in itertools.product((0, 1), repeat=2):
-            sc = sa ^ sb  # product of signs must be +1
-            da = distance_uniform(f, neg if sa else chi)
-            db = distance_uniform(g, neg if sb else chi)
-            dc = distance_uniform(h, neg if sc else chi)
-            worst = max(da, db, dc)
-            key = (worst, mask, sa, sb)
-            if best is None or key < best[0]:
-                best = (key, (mask, sa, sb, sc), (da, db, dc))
-    (worst, *_), (mask, sa, sb, sc), dists = best
-    # the recovered triple is linear-consistent by the sign constraint
-    assert (sa ^ sb) == sc
+    mask, (sa, sb, sc), dists = _nearest_signed_character([f, g, h])
+    worst = max(dists)
     constant_achieved = float(worst / eps) if eps else 0.0
     detail.update({"character": mask, "signs": (sa, sb, sc),
                    "distances": dists, "constant": constant_achieved})
@@ -500,3 +500,22 @@ def blr_three_function(f: BoolFn, g: BoolFn, h: BoolFn, mode: str = "exact",
     return BoundReport("blr", "xor:2", n, 3, verdict(worst, bound, CLOSED_BOUND["blr"]),
                        ic=eps, distance=worst, bound=bound,
                        witness=character(mask, n).serialize(), detail=detail)
+
+
+def _nearest_signed_character(fs: list[BoolFn]):
+    """The character chi_S and signs (sa, sb, sa xor sb) minimising the
+    largest distance from the three functions to chi_S negated by their
+    signs; ties go to the smallest (S, sa, sb).  Returns (S, signs,
+    distances), the distances as Fractions."""
+    import numpy as np
+
+    n = fs[0].arity
+    weights = np.array([transform(f).weights for f in fs], dtype=np.int64)
+    # 2^(n+1) d(f, chi_S) = 2^n - w_f(S), and 2^n + w_f(S) for the negation
+    patterns = [(sa, sb, sa ^ sb) for sa in (0, 1) for sb in (0, 1)]
+    signs = np.array([[2 * s - 1 for s in p] for p in patterns], dtype=np.int64)
+    dist = (1 << n) + signs[:, :, None] * weights[None, :, :]   # (pattern, fn, S)
+    worst = dist.max(axis=1).T                                   # (S, pattern)
+    mask, p = divmod(int(np.argmin(worst)), len(patterns))       # first minimum
+    den = 1 << (n + 1)
+    return mask, patterns[p], tuple(Fraction(int(d), den) for d in dist[p, :, mask])

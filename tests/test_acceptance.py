@@ -271,8 +271,10 @@ def test_10_blr():
     for _ in range(50):
         f = BoolFn(3, rng.randrange(256))
         r = blr_three_function(f, f, f)
-        # rejection 1 - acceptance = (1 - sum of cubed coefficients) / 2
-        if r.detail["acceptance"] != r.detail["spectral"]:
+        # rejection 1 - acceptance = (1 - sum of cubed coefficients) / 2, and
+        # acceptance is the share of the 64 pairs (x, y) the test accepts
+        pairs = sum(f(x) ^ f(y) == f(x ^ y) for x in range(8) for y in range(8))
+        if not r.detail["acceptance"] == r.detail["spectral"] == Fraction(pairs, 64):
             ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60

@@ -56,6 +56,20 @@ def test_families():
     assert depends_only_on(majority(4, 0b0111), 0b0111)
 
 
+def test_builders_match_their_definitions():
+    for n in range(1, 7):
+        inputs = range(1 << n)
+        for members in range(1 << n):
+            k = popcount(members)
+            assert [oligarchy(members, n)(x) for x in inputs] == \
+                   [int(x & members == members) for x in inputs]
+            assert [linear(members, n)(x) for x in inputs] == \
+                   [popcount(x & members) & 1 for x in inputs]
+            if k % 2:
+                assert [majority(n, members)(x) for x in inputs] == \
+                       [int(2 * popcount(x & members) > k) for x in inputs]
+
+
 def test_classify():
     assert classify(MAJ3) == {"oligarchy": None, "linear": None}
     assert classify(oligarchy(0b101, 3))["oligarchy"] == 0b101

@@ -199,15 +199,25 @@ MC = "--mode mc --seed 1 --samples 0"
     "agenda show --agenda affine:@{tmp}/empty.txt",
     "agenda show --agenda affine:@{tmp}/no_m.txt",
     "agenda show --agenda affine:@{tmp}/wide.txt",
+    "agenda show --agenda affine:@{tmp}/row_above_m.txt",
+    "APPROXAGG_WORKERS=abc verify mand --sweep --premises 1 --voters 1",
+    "oracle verify --agenda xor:2 --voters 4",
 ])
-def test_bad_input_exits_2_with_message(tmp_path, capsys, argv):
+def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     # exit 1 means a violated bound under --strict; bad input is exit 2
     (tmp_path / "empty.txt").write_text("", encoding="utf-8")
     (tmp_path / "no_m.txt").write_text("shift=000\n111\n", encoding="utf-8")
     # rejected before 2^40 candidate opinions are enumerated
     (tmp_path / "wide.txt").write_text("m=40\n11\n", encoding="utf-8")
+    # a 3-issue row in a 2-issue system, not read as row 11
+    (tmp_path / "row_above_m.txt").write_text("m=2\n111\n", encoding="utf-8")
+    # leading NAME=value words set environment variables
+    words = argv.format(tmp=tmp_path).split()
+    while "=" in words[0]:
+        name, _, value = words.pop(0).partition("=")
+        monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as e:
-        main(argv.format(tmp=tmp_path).split())
+        main(words)
     assert e.value.code == 2
     assert "error:" in capsys.readouterr().err
 

@@ -1,9 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from approxagg.bitfn import BoolFn, constant, dictator, distance_uniform, linear, majority
+from approxagg.bitfn import (
+    BoolFn,
+    constant,
+    dictator,
+    distance_uniform,
+    linear,
+    majority,
+    popcount,
+)
 from approxagg.fourier import FourierSpectrum, character, inverse, spectral_sum, transform
 from approxagg.mechanism import hoeffding_halfwidth
 from approxagg.theorems import blr_three_function
@@ -37,13 +45,33 @@ def test_serialize_rows():
     assert rows == [(0, 0, 0), (1, 1, 0), (2, 0, 0), (3, 0, 0)]
 
 
+@given(fns(6))
+def test_serialize_rows_are_reduced_coefficients(f):
+    spec = transform(f)
+    for mask, num, logden in spec.serialize_rows():
+        c = spec.coefficient(mask)
+        assert (num, 1 << logden) == (c.numerator, c.denominator)
+
+
 @given(fns())
 def test_parseval(f):
     spec = transform(f)
     assert sum(w * w for w in spec.weights) == (1 << f.arity) ** 2
 
 
-@given(fns())
+@settings(max_examples=40, deadline=None)
+@given(fns(8))
+def test_transform_matches_defining_sum(f):
+    # weights[S] = sum_x (-1)^(f(x) + |x & S|), the array FWHT against its definition
+    weights = transform(f).weights
+    for mask in range(f.size):
+        assert weights[mask] == sum((-1) ** (f(x) + popcount(x & mask))
+                                    for x in range(f.size))
+    assert all(type(w) is int for w in weights)
+    assert transform(f) is transform(f)   # kept on the BoolFn
+
+
+@given(fns(8))
 def test_inverse_round_trip(f):
     assert inverse(transform(f)) == f
 

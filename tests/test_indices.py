@@ -90,7 +90,7 @@ def test_ic_xor_fast_path_matches_enumeration():
 
 
 def test_conjunction_counts_totals():
-    totals, all_one = conjunction_counts([majority(3), majority(3)])
+    totals, all_one = conjunction_counts((majority(3), majority(3)))
     assert sum(totals) == 64
     assert all(c >= 0 for c in all_one)
     assert sum(all_one) == 16  # 4 majority-accepting patterns per column

@@ -26,12 +26,20 @@ def test_enumeration_members_are_consistent():
 
 
 def test_pruned_equals_generic():
-    for tf in (CONJ2, xor_agenda(2)):
+    for tf in [make(k) for make in (conjunction_agenda, xor_agenda) for k in (1, 2, 3)]:
         agenda = tf.expand()
-        pruned = enumerate_ci(agenda, 2, "x", tf=tf)
-        generic = enumerate_ci(agenda, 2, "x")
-        assert [m.serialize() for m in pruned.mechanisms] == \
-               [m.serialize() for m in generic.mechanisms]
+        for n in (1, 2):
+            pruned = enumerate_ci(agenda, n, "x", tf=tf)
+            generic = enumerate_ci(agenda, n, "x")
+            assert [m.serialize() for m in pruned.mechanisms] == \
+                   [m.serialize() for m in generic.mechanisms]
+
+
+def test_pruned_matches_closed_families_at_three_voters():
+    for kind, count in (("conjunction:2", 519), ("xor:2", 32)):
+        ok, diff = verify_characterization(kind, 3)
+        assert ok, diff
+        assert len(closed_families(kind, 3)) == count
 
 
 def test_characterizations_match_closed_form():
@@ -71,6 +79,11 @@ def test_nearest_ci_deterministic_tie_break():
 def test_enumeration_budget_guard():
     with pytest.raises(ValueError):
         enumerate_ci(conjunction_agenda(3).expand(), 3, "big")
+    # pruned: 2^32 premise tuples times 2^8 premise matrices, refused at once
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_ci(xor_agenda(2).expand(), 4, "big", tf=xor_agenda(2))
+    assert time.perf_counter() - start < 1
 
 
 def test_family_serialization():

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from approxagg.agenda import conjunction_agenda, xor_agenda
 from approxagg.bitfn import (
@@ -21,6 +23,7 @@ from approxagg.mechanism import (
     perturb,
     systematic,
 )
+import approxagg.theorems
 from approxagg.theorems import (
     BoundReport,
     and_bound,
@@ -249,12 +252,60 @@ def test_blr_single_point_corruption():
     assert r.detail["constant"] <= 2
 
 
+def _blr_by_pairs(f, g, h):
+    """Reference for the exact linearity test: acceptance over all 4^n pairs
+    (x, y), and the signed character first in (worst distance, mask, sa, sb)
+    order with its three distances, each measured directly."""
+    size = f.size
+    agree = sum(f(x) ^ g(y) == h(x ^ y) for x in range(size) for y in range(size))
+    best = None
+    for mask in range(size):
+        chi = linear(mask, f.arity)
+        for sa, sb in itertools.product((0, 1), repeat=2):
+            signs = (sa, sb, sa ^ sb)
+            dists = tuple(distance_uniform(fn, chi.negate() if s else chi)
+                          for fn, s in zip((f, g, h), signs))
+            key = (max(dists), mask, sa, sb)
+            if best is None or key < best[0]:
+                best = (key, mask, signs, dists)
+    _, mask, signs, dists = best
+    return Fraction(agree, size * size), mask, signs, dists
+
+
 def test_blr_acceptance_matches_spectral():
     rng = random.Random(66)
     for _ in range(10):
         f = BoolFn(3, rng.randrange(256))
         r = blr_three_function(f, f, f)
-        assert r.detail["acceptance"] == r.detail["spectral"]
+        assert r.detail["acceptance"] == r.detail["spectral"] == _blr_by_pairs(f, f, f)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_blr_exact_matches_pair_count(data):
+    # signed characters with a few table bits flipped (the corollary's
+    # regime, including ties between characters), or arbitrary tables
+    n = data.draw(st.integers(1, 6))
+    size = 1 << n
+    chi = linear(data.draw(st.integers(0, size - 1)), n)
+    sa, sb = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    fns = []
+    for s in (sa, sb, sa ^ sb):
+        if data.draw(st.booleans()):
+            table = (chi.negate() if s else chi).table
+            for x in data.draw(st.sets(st.integers(0, size - 1), max_size=3)):
+                table ^= 1 << x
+        else:
+            table = data.draw(st.integers(0, (1 << size) - 1))
+        fns.append(BoolFn(n, table))
+    acceptance, mask, signs, dists = _blr_by_pairs(*fns)
+    r = blr_three_function(*fns)
+    assert r.detail["acceptance"] == acceptance
+    assert r.ic == 1 - acceptance
+    assert approxagg.theorems._nearest_signed_character(fns) == (mask, signs, dists)
+    if r.status != "not-applicable":
+        assert (r.detail["character"], r.detail["signs"]) == (mask, signs)
+        assert r.detail["distances"] == dists and r.distance == max(dists)
 
 
 def test_blr_mc_mode():
@@ -313,6 +364,21 @@ def test_sweeps_small_slice():
     t2, x2, p2 = sweep_mxor(2, 1, workers=2)
     assert (t1, x1, p1) == (t2, x2, p2)
     assert not p1
+
+
+def test_mxor_sweep_reports_a_wrong_formula(monkeypatch):
+    # the sweep's enumerated IC must catch a spectral formula that is wrong
+    # on a single tuple, so its cross-check is not vacuous
+    real = approxagg.theorems.ic_xor
+    bad = [BoolFn(1, 1), BoolFn(1, 2), BoolFn(1, 3)]
+
+    def wrong_once(fns):
+        return real(fns) + (Fraction(1, 8) if fns == bad else 0)
+
+    monkeypatch.setattr(approxagg.theorems, "ic_xor", wrong_once)
+    total, violations, mismatches = sweep_mxor(3, 1)
+    assert total == 4**3
+    assert mismatches == ["independent n=1 m=3;n=1:1;n=1:2;n=1:3"]
 
 
 class _RecordingPool:
