@@ -75,6 +75,8 @@ def build_fn(spec: str, voters: int) -> BoolFn:
     if name == "xor":
         return linear(int(arg), voters)
     if name == "const":
+        if arg not in ("0", "1"):
+            raise SpecError(f"constant must be 0 or 1, got {arg!r}")
         return constant(int(arg), voters)
     raise SpecError(f"unknown function spec {spec!r}; example: --mech systematic:maj")
 
@@ -94,8 +96,8 @@ def build_mechanism(spec: str | None, agenda: Agenda, voters: int):
     if name == "linear":
         mask_s, _, signs = arg.partition(":")
         chi = linear(int(mask_s), voters)
-        if len(signs) != agenda.issues:
-            raise SpecError("sign string length must equal the issue count")
+        if len(signs) != agenda.issues or set(signs) - {"0", "1"}:
+            raise SpecError("signs must be one 0 or 1 per issue")
         return IndependentMechanism(tuple(
             chi.negate() if s == "1" else chi for s in signs))
     raise SpecError(f"unknown mechanism spec {spec!r}; "

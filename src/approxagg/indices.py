@@ -22,13 +22,12 @@ from .mechanism import (
     Mechanism,
     Profile,
     TableMechanism,
-    _outputs_for_samples,
     _profile_columns,
     apply,
     consistent_mask,
-    hoeffding_halfwidth,
+    hoeffding_interval,
+    mc_estimate,
     output_vector,
-    sample_profiles,
 )
 
 
@@ -59,12 +58,10 @@ def inconsistency_index(F: Mechanism, agenda: Agenda, voters: int,
     if mode == "mc":
         if seed is None:
             raise ValueError("mc mode requires a seed")
-        rows = sample_profiles(agenda, voters, samples, seed)
-        outs = _outputs_for_samples(F, agenda, rows)
-        estimate = float((~consistent_mask(agenda)[outs]).mean())
-        half = hoeffding_halfwidth(samples)
-        return IndexReport(estimate, "mc", samples,
-                           (max(0.0, estimate - half), min(1.0, estimate + half)), seed)
+        inconsistent = ~consistent_mask(agenda)
+        estimate, ci = mc_estimate((F,), agenda, voters, samples, seed,
+                                   lambda outs: inconsistent[outs])
+        return IndexReport(estimate, "mc", samples, ci, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -201,10 +198,8 @@ def dependency_index(F: Mechanism, agenda: Agenda, voters: int, j: int,
             fx = apply(F, agenda, Profile(tuple(x)))
             fy = apply(F, agenda, Profile(tuple(y)))
             hits += ((fx ^ fy) >> (j - 1)) & 1
-        estimate = hits / samples
-        half = hoeffding_halfwidth(samples)
-        return IndexReport(estimate, "mc", samples,
-                           (max(0.0, estimate - half), min(1.0, estimate + half)), seed)
+        estimate, ci = hoeffding_interval(hits / samples, samples)
+        return IndexReport(estimate, "mc", samples, ci, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -28,7 +28,8 @@ from .bitfn import BoolFn, constant, linear, oligarchy
 # unsigned type with n bits (1, 2 or 4 bytes), and one output in the smallest
 # with m bits (1 or 2 bytes); looking a column up adds an 8-byte index while
 # it runs.  conjunction:2 at 12 voters takes 3*2 + 1 + 8 = 15 bytes a profile,
-# and such an agenda at the budget about 1 GB.
+# 16 with the inconsistency index's one-byte flag, and such an agenda at the
+# budget about 1 GB.
 EXACT_PROFILE_BUDGET = 1 << 26
 
 
@@ -239,8 +240,9 @@ def _evaluate(fns: tuple[BoolFn, ...], cols):
 
 def apply(F: Mechanism, agenda: Agenda, profile: Profile) -> int:
     """Aggregated m-bit opinion for a consistent profile."""
+    base = len(agenda.consistent)
     for r in profile.rows:
-        if not 0 <= r < len(agenda.consistent):
+        if not 0 <= r < base:
             raise ValueError("profile row is not a consistent-opinion index")
     if isinstance(F, TableMechanism):
         if F.agenda != agenda or len(profile.rows) != F.voters:
@@ -280,11 +282,15 @@ def hoeffding_halfwidth(samples: int, confidence: float = 0.99) -> float:
     return math.sqrt(math.log(2 / (1 - confidence)) / (2 * samples))
 
 
-def sample_profiles(agenda: Agenda, voters: int, samples: int, seed: int):
-    """Uniform i.i.d. profiles as a (samples, voters) array of opinion indices."""
-    import numpy as np
+def hoeffding_interval(estimate: float, samples: int) -> tuple[float, tuple[float, float]]:
+    """The estimate and its 99% Hoeffding interval, clipped to [0, 1]."""
+    half = hoeffding_halfwidth(samples)
+    return estimate, (max(0.0, estimate - half), min(1.0, estimate + half))
 
-    rng = np.random.default_rng(seed)
+
+def sample_profiles(agenda: Agenda, voters: int, samples: int, rng):
+    """Uniform i.i.d. profiles as a (samples, voters) array of opinion
+    indices, drawn from a numpy Generator."""
     return rng.integers(0, len(agenda.consistent), size=(samples, voters))
 
 
@@ -307,14 +313,40 @@ def _outputs_for_samples(F: Mechanism, agenda: Agenda, rows):
     return _evaluate(F.fns, cols)
 
 
+# Sampled profiles are drawn and evaluated this many at a time, so that a
+# Monte Carlo run holds a fixed amount however many samples it takes: at
+# MAX_ARITY voters a chunk's (rows, voters) int64 draw is 3 MiB.  numpy's
+# bounded integers come out the same drawn in pieces as in one call, so the
+# chunk size does not change any seeded estimate.
+SAMPLE_CHUNK = 1 << 14
+
+
+def mc_estimate(mechanisms, agenda: Agenda, voters: int, samples: int, seed: int,
+                hits) -> tuple[float, tuple[float, float]]:
+    """Share of `samples` uniform profiles on which `hits` holds, with a 99%
+    Hoeffding interval.
+
+    The profiles come from one ``default_rng(seed)`` stream, SAMPLE_CHUNK at
+    a time; hits(*outputs) gets each mechanism's outputs on a chunk and
+    returns a boolean array over its profiles, of which only the count is
+    kept.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    count = 0
+    for start in range(0, samples, SAMPLE_CHUNK):
+        rows = sample_profiles(agenda, voters, min(SAMPLE_CHUNK, samples - start), rng)
+        outputs = [_outputs_for_samples(F, agenda, rows) for F in mechanisms]
+        count += int(np.count_nonzero(hits(*outputs)))
+    return hoeffding_interval(count / samples, samples)
+
+
 def mech_distance_mc(F: Mechanism, G: Mechanism, agenda: Agenda, voters: int,
                      samples: int, seed: int):
     """Unbiased disagreement estimate with a 99% Hoeffding interval."""
-    rows = sample_profiles(agenda, voters, samples, seed)
-    hits = (_outputs_for_samples(F, agenda, rows) != _outputs_for_samples(G, agenda, rows))
-    estimate = float(hits.mean())
-    half = hoeffding_halfwidth(samples)
-    return estimate, (max(0.0, estimate - half), min(1.0, estimate + half))
+    return mc_estimate((F, G), agenda, voters, samples, seed,
+                       lambda a, b: a != b)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +381,9 @@ def closed_families(kind: str, n: int) -> list[IndependentMechanism]:
     sorted by serialization.
     """
     name, _, arg = kind.partition(":")
+    if name in ("conjunction", "xor") and int(arg) == 1:
+        # one premise: the conclusion equals it, so this is the id agenda
+        name, arg = "id", "2"
     members: set[tuple[BoolFn, ...]] = set()
     if name == "conjunction":
         k = int(arg)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from approxagg.cli import main
 
@@ -55,6 +56,18 @@ def test_oracle_verify(capsys):
     # the closed family of id:3 repeats one function over all three issues
     code, out = run(capsys, "oracle", "verify", "--agenda", "id:3", "--voters", "1")
     assert out.strip() == "true 4"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("verify mand --sweep --premises 1 --voters 1 --strict",
+     "mand_sweep,,,,,,,,,,,satisfied,0/16"),
+    ("oracle verify --agenda conjunction:1 --voters 1 --strict", "true 4"),
+    ("oracle verify --agenda xor:1 --voters 2 --strict", "true 16"),
+])
+def test_one_premise_agendas_have_the_id_family(capsys, argv, expected):
+    # one premise makes the conclusion equal to it: every (g, g) is consistent
+    code, out = run(capsys, *argv.split())
+    assert (code, out.splitlines()[-1]) == (0, expected)
 
 
 def test_oracle_enumerate_and_nearest(capsys):
@@ -202,6 +215,10 @@ MC = "--mode mc --seed 1 --samples 0"
     "agenda show --agenda affine:@{tmp}/row_above_m.txt",
     "APPROXAGG_WORKERS=abc verify mand --sweep --premises 1 --voters 1",
     "oracle verify --agenda xor:2 --voters 4",
+    # a constant is 0 or 1, not read as 1
+    "indices ic --agenda conjunction:2 --mech systematic:const:2 --voters 2",
+    # a sign is 0 or 1, not read as 0
+    "indices ic --agenda conjunction:2 --mech linear:3:1x1 --voters 2",
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
     # exit 1 means a violated bound under --strict; bad input is exit 2
@@ -220,6 +237,34 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, monkeypatch, argv):
         main(words)
     assert e.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+_INT = st.one_of(st.integers(-2, 9).map(str), st.text("0123456789-x", max_size=3))
+_FN = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["maj", "dict", "olig", "xor", "const"]), _INT),
+    st.sampled_from(["maj", "const", "n=2:6", "n=3:e8", "n=9:1", "n=2:zz"]),
+    st.text("majdictolgxorns=:0123456789", max_size=8))
+_MECH = st.one_of(
+    st.builds("systematic:{}".format, _FN),
+    st.builds("olig:{}".format, _INT),
+    st.builds("linear:{}:{}".format, _INT, st.text("01x2", max_size=4)),
+    st.text("systemaiclnarog:0123456789", max_size=12))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(agenda=st.sampled_from(["conjunction:2", "xor:2", "pref:3", "id:2"]),
+       mech=_MECH, voters=st.integers(1, 3))
+def test_mechanism_spec_fuzz_exits_0_or_2(capsys, agenda, mech, voters):
+    # a spec either works or is a usage error; never a traceback
+    argv = ["indices", "ic", "--agenda", agenda, f"--mech={mech}",
+            "--voters", str(voters), "--mode", "exact"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -3,10 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from approxagg.agenda import conjunction_agenda, id_agenda, opinion_from_str, xor_agenda
+from approxagg.agenda import (
+    conjunction_agenda,
+    id_agenda,
+    opinion_from_str,
+    preference_agenda,
+    xor_agenda,
+)
 from approxagg.bitfn import BoolFn, dictator, majority, oligarchy
 from approxagg.indices import inconsistency_index
 from approxagg.mechanism import (
+    SAMPLE_CHUNK,
     IndependentMechanism,
     Profile,
     TableMechanism,
@@ -162,3 +169,66 @@ def test_independent_mechanism_validation():
         IndependentMechanism(())
     with pytest.raises(ValueError):
         IndependentMechanism((majority(3), BoolFn(2, 0b0110)))
+
+
+# ---------------------------------------------------------------------------
+# chunked Monte Carlo
+
+
+def _one_shot(F, agenda, voters, samples, seed):
+    """Outputs on all samples drawn in one call, looked up in the exact
+    output vector by profile index (voter 1 = least significant digit)."""
+    import numpy as np
+
+    base = len(agenda.consistent)
+    rows = np.random.default_rng(seed).integers(0, base, size=(samples, voters))
+    idx = rows @ (base ** np.arange(voters))
+    return output_vector(F, agenda, voters)[idx]
+
+
+def _chunk_cases():
+    rng = random.Random(21)
+    pref = preference_agenda(3)
+    table = random_table(CONJ2, 3, rng)
+    return [("conjunction:2", CONJ2, 5, systematic(majority(5), 3),
+             IndependentMechanism((majority(5), oligarchy(0b11, 5), majority(5)))),
+            ("pref:3", pref, 3, systematic(majority(3), 3), systematic(dictator(2, 3), 3)),
+            ("table", CONJ2, 3, table, systematic(majority(3), 3))]
+
+
+@pytest.mark.parametrize("samples", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK - 1])
+@pytest.mark.parametrize("case", _chunk_cases(), ids=lambda case: case[0])
+def test_chunked_mc_equals_one_shot_draw(samples, case):
+    import numpy as np
+
+    _, agenda, voters, F, G = case
+    half = hoeffding_halfwidth(samples)
+    bad = ~np.isin(_one_shot(F, agenda, voters, samples, 4), agenda.consistent)
+    expected = float(bad.mean())
+    r = inconsistency_index(F, agenda, voters, mode="mc", samples=samples, seed=4)
+    assert r.value == expected
+    assert r.ci == (max(0.0, expected - half), min(1.0, expected + half))
+    differ = (_one_shot(F, agenda, voters, samples, 8)
+              != _one_shot(G, agenda, voters, samples, 8))
+    expected = float(differ.mean())
+    assert mech_distance_mc(F, G, agenda, voters, samples, 8) == (
+        expected, (max(0.0, expected - half), min(1.0, expected + half)))
+
+
+def test_mc_peak_memory_flat_in_samples():
+    import tracemalloc
+
+    agenda = preference_agenda(3)
+    F = systematic(majority(17), 3)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            inconsistency_index(F, agenda, 17, mode="mc", samples=samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1 << 10)   # builds the cached truth tables outside the measurement
+    small, large = peak(1 << 16), peak(1 << 19)
+    assert large <= 1.5 * small, (small, large)
