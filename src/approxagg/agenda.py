@@ -126,6 +126,8 @@ class TruthFunctionalAgenda:
         if not lines or not lines[0].startswith("k="):
             raise ValueError("truth-functional agenda text must start with 'k=<premises>'")
         k = int(lines[0][2:])
+        if not 0 <= k <= MAX_ISSUES:
+            raise ValueError(f"premise count must be in [0, {MAX_ISSUES}]")
         conclusions = []
         for ln in lines[1:]:
             kind, *fields = ln.split()
@@ -133,6 +135,8 @@ class TruthFunctionalAgenda:
             inputs = 0
             if kv.get("inputs"):
                 for tok in kv["inputs"].split(","):
+                    if not 1 <= int(tok) <= k:
+                        raise ValueError(f"conclusion input {tok} is not a premise 1..{k}")
                     inputs |= 1 << (int(tok) - 1)
             conclusions.append(Conclusion(kind, inputs, int(kv.get("negmask", "0"), 2),
                                           bool(int(kv.get("negout", "0")))))
@@ -155,6 +159,8 @@ def xor_agenda(m_premises: int) -> TruthFunctionalAgenda:
 
 def id_agenda(n_issues: int = 2) -> Agenda:
     """All issues constrained to agree: {all zeros, all ones}."""
+    if not 1 <= n_issues <= MAX_ISSUES:
+        raise ValueError(f"issue count must be in [1, {MAX_ISSUES}]")
     return Agenda(n_issues, (0, (1 << n_issues) - 1))
 
 

@@ -110,14 +110,15 @@ def _fn_list(spec: str | None, voters: int) -> list[BoolFn]:
     return [build_fn(tok, voters) for tok in spec.split(",")]
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+# Monte Carlo runs hold bounded memory however many samples they draw, so
+# this cap on --samples is what bounds their running time.
+MAX_SAMPLES = 1 << 32
 
 
-def _positive(text: str) -> int:
+def _samples(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_SAMPLES}], got {value}")
     return value
 
 
@@ -166,15 +167,10 @@ def _cmd_agenda(args) -> int:
     if args.agenda:
         spec = args.agenda
     elif args.kind:
-        spec = args.kind
-        if args.kind == "conjunction":
-            spec = f"conjunction:{args.premises}"
-        elif args.kind == "xor":
-            spec = f"xor:{args.premises}"
-        elif args.kind == "pref":
-            spec = f"pref:{args.candidates}"
-        elif args.kind in ("affine", "tf"):
-            spec = f"{args.kind}:@{args.file}"
+        spec = {"conjunction": f"conjunction:{args.premises}",
+                "xor": f"xor:{args.premises}", "pref": f"pref:{args.candidates}",
+                "affine": f"affine:@{args.file}", "tf": f"tf:@{args.file}",
+                }.get(args.kind, args.kind)
     else:
         raise SpecError("agenda show needs --agenda or --kind; "
                         "example: agenda show --kind conjunction --premises 2")
@@ -228,23 +224,19 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     reports = []
     summary = None
-    if args.claim == "mand":
-        if args.sweep:
-            total, violations = sweep_mand(args.premises, args.voters, args.workers)
-            summary = ("mand_sweep", total, violations)
+    if args.claim in ("mand", "mxor"):
+        if args.claim == "mand":
+            size, sweep, check = args.premises, sweep_mand, check_mand
+            agenda = conjunction_agenda(args.premises)
         else:
-            agenda = conjunction_agenda(args.premises).expand()
-            F = build_mechanism(args.mech, agenda, args.voters)
-            reports.append(check_mand(F, args.premises, args.voters))
-    elif args.claim == "mxor":
+            size, sweep, check = args.issues, sweep_mxor, check_mxor
+            agenda = xor_agenda(args.issues - 1)
         if args.sweep:
-            total, violations, mismatches = sweep_mxor(args.issues, args.voters,
-                                                       args.workers)
-            summary = ("mxor_sweep", total, violations + mismatches)
+            total, violations, mismatches = sweep(size, args.voters, args.workers)
+            summary = (f"{args.claim}_sweep", total, violations + mismatches)
         else:
-            agenda = xor_agenda(args.issues - 1).expand()
-            F = build_mechanism(args.mech, agenda, args.voters)
-            reports.append(check_mxor(F, args.issues, args.voters))
+            F = build_mechanism(args.mech, agenda.expand(), args.voters)
+            reports.append(check(F, size, args.voters))
     elif args.claim == "relax":
         agenda_id, agenda, _ = build_agenda(args.agenda)
         F = build_mechanism(args.mech, agenda, args.voters)
@@ -326,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agenda", required=True)
     p.add_argument("--issue", type=int)
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--samples", type=_positive, default=100_000)
+    p.add_argument("--samples", type=_samples, default=100_000)
     p.add_argument("--seed", type=int)
     common(p, mech=True)
     p.set_defaults(func=_cmd_indices)
@@ -353,15 +345,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--junta", type=int, default=0)
-    p.add_argument("--delta", type=_fraction, default=Fraction(1, 4))
-    p.add_argument("--epsilon-frac", type=_fraction, default=Fraction(0))
+    p.add_argument("--delta", type=Fraction, default=Fraction(1, 4))
+    p.add_argument("--epsilon-frac", type=Fraction, default=Fraction(0))
     common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("blr")
     p.add_argument("--fns", required=True, help="three function specs, comma-separated")
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--samples", type=_positive, default=100_000)
+    p.add_argument("--samples", type=_samples, default=100_000)
     p.add_argument("--seed", type=int)
     common(p)
     p.set_defaults(func=_cmd_blr)

@@ -65,24 +65,16 @@ def inconsistency_index(F: Mechanism, agenda: Agenda, voters: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def zeta_superset(values: list[int], n: int) -> list[int]:
-    """In each entry z, accumulate the sum over all supersets of z."""
+def superset_sums(values: list[int], n: int, sign: int = 1) -> list[int]:
+    """Add to each entry z sign times the entries of z's proper supersets,
+    one bit at a time: sign 1 gives the zeta transform (each z holds the sum
+    over its supersets) and sign -1 its inverse, the Moebius transform."""
     out = list(values)
     for b in range(n):
         bit = 1 << b
         for z in range(1 << n):
             if not z & bit:
-                out[z] += out[z | bit]
-    return out
-
-
-def moebius_superset(values: list[int], n: int) -> list[int]:
-    out = list(values)
-    for b in range(n):
-        bit = 1 << b
-        for z in range(1 << n):
-            if not z & bit:
-                out[z] -= out[z | bit]
+                out[z] += sign * out[z | bit]
     return out
 
 
@@ -99,9 +91,9 @@ def conjunction_counts(premise_fns: tuple[BoolFn, ...]) -> tuple[tuple[int, ...]
     size = 1 << n
     prod = [1] * size
     for f in premise_fns:
-        ones = zeta_superset([(f.table >> x) & 1 for x in range(size)], n)
+        ones = superset_sums([(f.table >> x) & 1 for x in range(size)], n)
         prod = [p * c for p, c in zip(prod, ones)]
-    all_one = tuple(moebius_superset(prod, n))
+    all_one = tuple(superset_sums(prod, n, -1))
     totals = tuple((2**m - 1) ** (n - popcount(z)) for z in range(size))
     return totals, all_one
 

@@ -265,6 +265,35 @@ def output_vector(F: Mechanism, agenda: Agenda, voters: int):
     return _evaluate(F.fns, _profile_columns(agenda, voters))
 
 
+# Output entries (tuples times profiles) per block of independent_rows: a
+# sweep holds 64 KiB of one-byte outputs however many tuples it covers.
+ROW_BLOCK = 1 << 16
+
+
+def independent_rows(agenda: Agenda, voters: int, lo: int, hi: int):
+    """Output vectors of the independent tuples lo..hi-1 as (tuples, profiles)
+    arrays of at most ROW_BLOCK entries.  Tuple u takes issue j's truth table
+    from base-2^(2^n) digit j of u, issue 1 the most significant, as
+    itertools.product orders every issue's tables."""
+    import numpy as np
+
+    cols = _profile_columns(agenda, voters)
+    m, profiles = cols.shape
+    n_tables = 1 << (1 << voters)
+    dtype = _uint_dtype(m)
+    # parts[j][t]: issue j+1's output bit, in place, under table t
+    tables = ((np.arange(n_tables)[:, None] >> np.arange(1 << voters)) & 1).astype(dtype)
+    parts = [tables[:, cols[j]] << j for j in range(m)]
+    step = max(1, ROW_BLOCK // profiles)
+    for start in range(lo, hi, step):
+        digits = np.arange(start, min(start + step, hi))
+        rows = parts[-1][digits % n_tables]
+        for part in reversed(parts[:-1]):
+            digits //= n_tables
+            rows |= part[digits % n_tables]
+        yield rows
+
+
 # ---------------------------------------------------------------------------
 # distances
 

@@ -17,6 +17,7 @@ from .mechanism import (
     Mechanism,
     closed_families,
     consistent_mask,
+    independent_rows,
     output_vector,
 )
 
@@ -35,6 +36,11 @@ class CIFamily:
         for mech in self.mechanisms:
             lines.append(mech.serialize().replace("\n", ";"))
         return "\n".join(lines)
+
+
+def closed_family(kind: str, voters: int) -> CIFamily:
+    """The closed-form family of a named agenda kind (see closed_families)."""
+    return CIFamily(kind, voters, tuple(closed_families(kind, voters)))
 
 
 def enumerate_ci(agenda: Agenda, voters: int, agenda_id: str = "",
@@ -66,13 +72,18 @@ def enumerate_ci(agenda: Agenda, voters: int, agenda_id: str = "",
 
 def _enumerate_generic(agenda: Agenda, voters: int,
                        n_tables: int) -> list[IndependentMechanism]:
+    import numpy as np
+
     member = consistent_mask(agenda)
-    members = []
+    m = agenda.issues
     fns = [BoolFn(voters, t) for t in range(n_tables)]
-    for tup in itertools.product(fns, repeat=agenda.issues):
-        F = IndependentMechanism(tup)
-        if member[output_vector(F, agenda, voters)].all():
-            members.append(F)
+    members = []
+    start = 0
+    for rows in independent_rows(agenda, voters, 0, n_tables**m):
+        for u in (start + np.flatnonzero(member[rows].all(axis=1))).tolist():
+            members.append(IndependentMechanism(tuple(
+                fns[u // n_tables ** (m - 1 - j) % n_tables] for j in range(m))))
+        start += len(rows)
     return members
 
 

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .agenda import Agenda, conjunction_agenda, xor_agenda
+from .agenda import Agenda, parse_agenda_spec
 from .bitfn import (
     BoolFn,
     classify,
@@ -39,14 +39,13 @@ from .indices import (
 from .mechanism import (
     IndependentMechanism,
     Mechanism,
-    _profile_columns,
-    _uint_dtype,
     closed_families,
     consistent_mask,
+    independent_rows,
     mech_distance_exact,
     output_vector,
 )
-from .oracle import CIFamily, nearest_ci
+from .oracle import CIFamily, closed_family, nearest_ci
 
 
 # whether the bound is closed, for each claim whose status is
@@ -125,7 +124,7 @@ def _one_line(mech: Mechanism) -> str:
 
 
 # ---------------------------------------------------------------------------
-# conjunction-agenda main bound
+# main bounds on the conjunction and xor agendas
 
 
 def and_bound(m_premises: int, n: int, epsilon: Fraction) -> float:
@@ -138,150 +137,119 @@ def and_bound(m_premises: int, n: int, epsilon: Fraction) -> float:
     return 5 * m * scaled ** (1 / (m * m + m - 1))
 
 
+def _main_claim(name: str, premises: int):
+    """The conjunction ("mand") or xor ("mxor") claim with k premises, as
+    (agenda kind, exact IC formula on the issue functions, bound from the IC
+    at n voters, IC below which the bound applies); an IC never exceeds 1,
+    so the conjunction bound's limit 2 is none.  The formulas are looked up
+    in this module when called, so a wrapper set on ic_conjunction, ic_xor
+    or and_bound here sees every call."""
+    if name == "mand":
+        return (f"conjunction:{premises}",
+                lambda fns: ic_conjunction(list(fns[:-1]), fns[-1]),
+                lambda eps, n: and_bound(premises, n, eps), Fraction(2))
+    return (f"xor:{premises}", lambda fns: ic_xor(list(fns)),
+            lambda eps, n: float((premises + 1) * eps), Fraction(1, 6))
+
+
+def _check_main(name: str, premises: int, F: IndependentMechanism, n: int,
+                family: CIFamily | None) -> BoundReport:
+    kind, ic, bound_of, ic_limit = _main_claim(name, premises)
+    agenda, _ = parse_agenda_spec(kind)
+    if F.issues != agenda.issues or F.voters != n:
+        raise ValueError("mechanism shape does not match the agenda")
+    eps = ic(F.fns)
+    bound = bound_of(eps, n)
+    nearest, distance = nearest_ci(F, agenda, n, family or closed_family(kind, n))
+    status = (verdict(distance, bound, CLOSED_BOUND[name]) if eps < ic_limit
+              else "not-applicable")
+    return BoundReport(name, kind, n, agenda.issues, status, ic=eps, distance=distance,
+                       bound=bound, witness=_one_line(nearest))
+
+
 def check_mand(F: IndependentMechanism, m_premises: int, n: int,
                family: CIFamily | None = None) -> BoundReport:
     """Distance from an independent conjunction-agenda mechanism to the
     consistent-independent family, against the polynomial-in-IC bound."""
-    agenda = conjunction_agenda(m_premises).expand()
-    if F.issues != m_premises + 1 or F.voters != n:
-        raise ValueError("mechanism shape does not match the agenda")
-    eps = ic_conjunction(list(F.fns[:-1]), F.fns[-1])
-    bound = and_bound(m_premises, n, eps)
-    if family is None:
-        family = CIFamily(f"conjunction:{m_premises}", n,
-                          tuple(closed_families(f"conjunction:{m_premises}", n)))
-    nearest, distance = nearest_ci(F, agenda, n, family)
-    return BoundReport("mand", f"conjunction:{m_premises}", n, m_premises + 1,
-                       verdict(distance, bound, CLOSED_BOUND["mand"]), ic=eps,
-                       distance=distance, bound=bound,
-                       witness=_one_line(nearest))
-
-
-def sweep_mand(m_premises: int, n: int, workers: int = 1):
-    """Check every independent mechanism on the conjunction agenda.
-
-    Returns (total, violations) where violations lists the serializations
-    of mechanisms whose distance misses a non-vacuous bound.
-    """
-    n_tables = 1 << (1 << n)
-    total = n_tables ** (m_premises + 1)
-    parts = _map_chunks(_sweep_mand_chunk, (m_premises, n), n_tables, workers)
-    violations = [v for part in parts for v in part]
-    return total, violations
-
-
-def _sweep_mand_chunk(args):
-    m_premises, n, lo, hi = args
-    agenda = conjunction_agenda(m_premises).expand()
-    family_outputs = _family_outputs(f"conjunction:{m_premises}", agenda, n)
-    n_tables = 1 << (1 << n)
-    violations = []
-    fns = [BoolFn(n, t) for t in range(n_tables)]
-    for t0 in range(lo, hi):
-        for rest in itertools.product(fns, repeat=m_premises):
-            tup = (fns[t0],) + rest
-            eps = ic_conjunction(list(tup[:-1]), tup[-1])
-            bound = and_bound(m_premises, n, eps)
-            if bound >= 1:
-                continue
-            F = IndependentMechanism(tup)
-            target = output_vector(F, agenda, n)
-            distance = Fraction(_fewest_mismatches(family_outputs, target), len(target))
-            if verdict(distance, bound, CLOSED_BOUND["mand"]) == "violated":
-                violations.append(_one_line(F))
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# xor-agenda main bound
+    return _check_main("mand", m_premises, F, n, family)
 
 
 def check_mxor(F: IndependentMechanism, m_issues: int, n: int,
                family: CIFamily | None = None) -> BoundReport:
     """Linear-in-IC closeness to the sign-consistent linear tuples on the
     xor agenda; applicable when IC < 1/6."""
-    agenda = xor_agenda(m_issues - 1).expand()
-    if F.issues != m_issues or F.voters != n:
-        raise ValueError("mechanism shape does not match the agenda")
-    eps = ic_xor(list(F.fns))
-    bound = float(m_issues * eps)
-    if family is None:
-        family = CIFamily(f"xor:{m_issues - 1}", n,
-                          tuple(closed_families(f"xor:{m_issues - 1}", n)))
-    nearest, distance = nearest_ci(F, agenda, n, family)
-    status = ("not-applicable" if eps >= Fraction(1, 6)
-              else verdict(distance, bound, CLOSED_BOUND["mxor"]))
-    return BoundReport("mxor", f"xor:{m_issues - 1}", n, m_issues, status,
-                       ic=eps, distance=distance, bound=bound,
-                       witness=_one_line(nearest))
+    return _check_main("mxor", m_issues - 1, F, n, family)
+
+
+def sweep_mand(m_premises: int, n: int, workers: int = 1):
+    """Check every independent mechanism on the conjunction agenda; see
+    sweep_mxor for the result."""
+    return _sweep(_sweep_mand_chunk, (m_premises, n), m_premises + 1, workers)
 
 
 def sweep_mxor(m_issues: int, n: int, workers: int = 1):
-    """Check every independent mechanism on the xor agenda and cross-check
-    the spectral inconsistency formula against plain enumeration.
+    """Check every independent mechanism on the xor agenda.
 
-    Returns (total, violations, formula_mismatches).
+    Returns (total, violations, formula_mismatches): the serializations of
+    the mechanisms whose distance misses a non-vacuous bound, and of those
+    whose IC formula disagrees with the IC counted over their outputs.
     """
-    n_tables = 1 << (1 << n)
-    total = n_tables**m_issues
-    parts = _map_chunks(_sweep_mxor_chunk, (m_issues, n), n_tables, workers)
-    violations = [v for part in parts for v in part[0]]
-    mismatches = [v for part in parts for v in part[1]]
-    return total, violations, mismatches
+    return _sweep(_sweep_mxor_chunk, (m_issues, n), m_issues, workers)
+
+
+def _sweep(chunk_fn, head: tuple, issues: int, workers: int):
+    n_tables = 1 << (1 << head[1])
+    parts = _map_chunks(chunk_fn, head, n_tables, workers)
+    return (n_tables**issues, [v for part in parts for v in part[0]],
+            [v for part in parts for v in part[1]])
+
+
+def _sweep_mand_chunk(args):
+    m_premises, n, lo, hi = args
+    return _sweep_chunk("mand", m_premises, n, lo, hi)
 
 
 def _sweep_mxor_chunk(args):
+    m_issues, n, lo, hi = args
+    return _sweep_chunk("mxor", m_issues - 1, n, lo, hi)
+
+
+def _sweep_chunk(name: str, premises: int, n: int, lo: int, hi: int):
+    """(violations, formula mismatches) among the tuples whose first issue
+    has a table in lo..hi-1, in itertools.product order."""
     import numpy as np
 
-    m_issues, n, lo, hi = args
-    agenda = xor_agenda(m_issues - 1).expand()
-    family_outputs = _family_outputs(f"xor:{m_issues - 1}", agenda, n)
+    kind, ic, bound_of, ic_limit = _main_claim(name, premises)
+    agenda, _ = parse_agenda_spec(kind)
     inconsistent = ~consistent_mask(agenda)
+    family = np.stack([output_vector(g, agenda, n) for g in closed_families(kind, n)])
+    profiles = family.shape[1]
+    closed = CLOSED_BOUND[name]
     n_tables = 1 << (1 << n)
     fns = [BoolFn(n, t) for t in range(n_tables)]
-    # parts[j][t]: issue j+1's output bits over the profile space under fns[t]
-    tables = np.stack([f.bits for f in fns])
-    cols = _profile_columns(agenda, n)
-    profiles = cols.shape[1]
-    dtype = _uint_dtype(m_issues)
-    parts = [tables[:, cols[j]].astype(dtype) << j for j in range(m_issues)]
-    # output rows of every `rest` tuple, in itertools.product order
-    rest_rows = np.zeros((1, profiles), dtype=dtype)
-    for part in parts[1:]:
-        rest_rows = (rest_rows[:, None, :] | part[None, :, :]).reshape(-1, profiles)
-    # the enumerated IC of each possible inconsistent-profile count
-    enumerated = [Fraction(bad, profiles) for bad in range(profiles + 1)]
+    tuples = itertools.product(fns[lo:hi], *[fns] * (agenda.issues - 1))
+    per_table = n_tables ** (agenda.issues - 1)
+    limit_num, limit_den = ic_limit.as_integer_ratio()
     violations = []
     mismatches = []
-    sixth = Fraction(1, 6)
-    for t0 in range(lo, hi):
-        rows = rest_rows | parts[0][t0]
+    for rows in independent_rows(agenda, n, lo * per_table, hi * per_table):
         bad = np.count_nonzero(inconsistent[rows], axis=1).tolist()
-        for r, rest in enumerate(itertools.product(fns, repeat=m_issues - 1)):
-            tup = (fns[t0],) + rest
-            eps = ic_xor(list(tup))
-            if enumerated[bad[r]] != eps:
+        # `bad` first: zip stops at the block's end without taking a tuple
+        for r, (count, tup) in enumerate(zip(bad, tuples)):
+            eps = ic(tup)
+            # integer forms of eps == count/profiles and eps < ic_limit
+            num, den = eps.as_integer_ratio()
+            if num * profiles != count * den:
                 mismatches.append(_one_line(IndependentMechanism(tup)))
-            if eps >= sixth:
+            if num * limit_den >= limit_num * den:
                 continue
-            distance = Fraction(_fewest_mismatches(family_outputs, rows[r]), profiles)
-            if verdict(distance, float(m_issues * eps), CLOSED_BOUND["mxor"]) == "violated":
+            bound = bound_of(eps, n)
+            if bound >= 1:
+                continue
+            nearest = int(np.count_nonzero(family != rows[r], axis=1).min())
+            if verdict(Fraction(nearest, profiles), bound, closed) == "violated":
                 violations.append(_one_line(IndependentMechanism(tup)))
     return violations, mismatches
-
-
-def _family_outputs(kind: str, agenda: Agenda, n: int):
-    """The closed family's output vectors stacked as rows."""
-    import numpy as np
-
-    return np.stack([output_vector(g, agenda, n) for g in closed_families(kind, n)])
-
-
-def _fewest_mismatches(rows, target) -> int:
-    """Smallest number of profiles on which a row differs from target."""
-    import numpy as np
-
-    return int(np.count_nonzero(rows != target, axis=1).min())
 
 
 def _map_chunks(chunk_fn, head: tuple, size: int, workers: int) -> list:
@@ -354,9 +322,7 @@ def check_relax(F: Mechanism, kind: str, agenda: Agenda, n: int,
     H = independent_approximation(F, agenda, n)
     d_fh = mech_distance_exact(F, H, agenda, n)
     assert d_fh <= 2 * m * di, "independent approximation exceeded its bound"
-    if family is None:
-        family = CIFamily(kind, n, tuple(closed_families(kind, n)))
-    G, d_hg = nearest_ci(H, agenda, n, family)
+    G, d_hg = nearest_ci(H, agenda, n, family or closed_family(kind, n))
     d_fg = mech_distance_exact(F, G, agenda, n)
     assert d_fg <= d_fh + d_hg, "triangle inequality violated"
     detail.update({"d_fh": d_fh, "d_hg": d_hg, "ic_h": inconsistency_index(H, agenda, n).value})

@@ -130,11 +130,12 @@ def test_04_characterizations():
 
 def test_05_mand_sweep():
     start = time.perf_counter()
-    total, violations = sweep_mand(2, 2)
+    total, violations, mismatches = sweep_mand(2, 2)
     elapsed = time.perf_counter() - start
-    ok = total == 4096 and not violations and elapsed < 300
+    ok = total == 4096 and not violations and not mismatches and elapsed < 300
     report(5, ok, f"conjunction bound sweep {total} mechanisms, "
-                  f"{len(violations)} violations ({elapsed:.2f} s)")
+                  f"{len(violations)} violations, {len(mismatches)} "
+                  f"formula mismatches ({elapsed:.2f} s)")
 
 
 def test_06_mxor_sweep():

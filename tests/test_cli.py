@@ -209,6 +209,10 @@ MC = "--mode mc --seed 1 --samples 0"
     f"indices ic --agenda conjunction:2 --mech systematic:maj {MC}",
     f"indices di --agenda conjunction:2 --mech systematic:maj {MC}",
     f"blr --fns maj,maj,maj {MC}",
+    # above MAX_SAMPLES: bounded memory, but hours to days of sampling
+    "indices ic --agenda pref:3 --mech systematic:maj --voters 17 --mode mc "
+    "--samples 1000000000000 --seed 1",
+    "blr --fns maj,maj,maj --mode mc --seed 1 --samples 4294967297",
     "agenda show --agenda affine:@{tmp}/empty.txt",
     "agenda show --agenda affine:@{tmp}/no_m.txt",
     "agenda show --agenda affine:@{tmp}/wide.txt",
@@ -259,6 +263,63 @@ def test_mechanism_spec_fuzz_exits_0_or_2(capsys, agenda, mech, voters):
     # a spec either works or is a usage error; never a traceback
     argv = ["indices", "ic", "--agenda", agenda, f"--mech={mech}",
             "--voters", str(voters), "--mode", "exact"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# mostly small values, which make working agendas, and some that must fail
+_AGENDA_INT = st.one_of(st.integers(0, 5).map(str), st.integers(-1, 18).map(str),
+                        st.sampled_from(["", "x", "99999999999"]))
+_AGENDA = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["conjunction", "xor", "pref", "id"]),
+              _AGENDA_INT),
+    st.sampled_from(["id", "tf:@", "affine:@", "tf:@{file}x", "affine", "conjunction"]),
+    st.text("conjunctiorxpfda:0123456789@", max_size=14))
+_BITS = st.one_of(st.text("01", min_size=1, max_size=4), st.text("01x-", max_size=4))
+_AFFINE_TEXT = st.builds(
+    "{}\n{}\n".format,
+    st.one_of(st.builds("m={} shift={}".format, _AGENDA_INT, _BITS),
+              st.builds("m={}".format, _AGENDA_INT)),
+    st.lists(_BITS, max_size=4).map("\n".join))
+_TF_LINE = st.one_of(
+    st.builds("{} inputs={} negmask={} negout={}".format,
+              st.sampled_from(["AND", "XOR", "OR"]),
+              st.lists(_AGENDA_INT, min_size=1, max_size=3).map(",".join),
+              _BITS, st.sampled_from(["0", "1", "2"])),
+    st.builds("{} inputs={}".format, st.sampled_from(["AND", "XOR"]),
+              st.lists(st.integers(1, 3).map(str), max_size=3).map(",".join)),
+    st.text("ANDXOR inputs=,12", max_size=12))
+_TF_TEXT = st.builds(
+    "{}\n{}\n".format,
+    st.builds("k={}".format, _AGENDA_INT),
+    st.lists(_TF_LINE, max_size=3).map("\n".join))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["show", "ic"]))
+def test_agenda_spec_fuzz_exits_0_or_2(tmp_path, capsys, data, command):
+    # agenda specs and spec files either work or are usage errors; never a
+    # traceback, and never a huge integer shift before the range checks
+    path = tmp_path / "agenda.txt"
+    spec = data.draw(st.one_of(
+        _AGENDA,
+        _TF_TEXT.map(lambda text: ("tf", text)),
+        _AFFINE_TEXT.map(lambda text: ("affine", text))))
+    if isinstance(spec, tuple):
+        kind, text = spec
+        path.write_text(text, encoding="utf-8")
+        spec = f"{kind}:@{path}"
+    spec = spec.replace("{file}", str(path))
+    if command == "show":
+        argv = ["agenda", "show", f"--agenda={spec}"]
+    else:
+        argv = ["indices", "ic", f"--agenda={spec}", "--mech", "systematic:maj",
+                "--voters", str(data.draw(st.integers(1, 2))), "--mode", "exact"]
     try:
         code = main(argv)
     except SystemExit as exc:

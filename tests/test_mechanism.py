@@ -232,3 +232,23 @@ def test_mc_peak_memory_flat_in_samples():
     peak(1 << 10)   # builds the cached truth tables outside the measurement
     small, large = peak(1 << 16), peak(1 << 19)
     assert large <= 1.5 * small, (small, large)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+def test_independent_rows_are_the_output_vectors_in_product_order(monkeypatch, block):
+    import itertools
+
+    import numpy as np
+
+    from approxagg import mechanism
+
+    monkeypatch.setattr(mechanism, "ROW_BLOCK", block)
+    fns = [BoolFn(1, t) for t in range(4)]
+    for agenda in (CONJ2, xor_agenda(2).expand(), preference_agenda(3)):
+        tuples = list(itertools.product(fns, repeat=agenda.issues))
+        for lo, hi in ((0, len(tuples)), (5, 23)):
+            blocks = list(mechanism.independent_rows(agenda, 1, lo, hi))
+            assert all(b.size <= max(block, len(agenda.consistent)) for b in blocks)
+            expected = [output_vector(IndependentMechanism(t), agenda, 1)
+                        for t in tuples[lo:hi]]
+            assert np.array_equal(np.concatenate(blocks), np.stack(expected))

@@ -357,9 +357,10 @@ def test_and_bound_monotone():
 def test_sweeps_small_slice():
     # the full 4096-candidate sweeps run in the acceptance suite; here only
     # the worker partitioning contract is exercised on the full m=1 space
-    total1, v1 = sweep_mand(1, 1, workers=1)
-    total2, v2 = sweep_mand(1, 1, workers=3)
-    assert (total1, v1) == (total2, v2)
+    total1, v1, q1 = sweep_mand(1, 1, workers=1)
+    total2, v2, q2 = sweep_mand(1, 1, workers=3)
+    assert (total1, v1, q1) == (total2, v2, q2)
+    assert not q1
     t1, x1, p1 = sweep_mxor(2, 1, workers=1)
     t2, x2, p2 = sweep_mxor(2, 1, workers=2)
     assert (t1, x1, p1) == (t2, x2, p2)
@@ -379,6 +380,66 @@ def test_mxor_sweep_reports_a_wrong_formula(monkeypatch):
     total, violations, mismatches = sweep_mxor(3, 1)
     assert total == 4**3
     assert mismatches == ["independent n=1 m=3;n=1:1;n=1:2;n=1:3"]
+
+
+def test_mand_sweep_reports_a_wrong_formula(monkeypatch):
+    # the same cross-check for the zeta/Moebius conjunction formula
+    real = approxagg.theorems.ic_conjunction
+    bad = ([BoolFn(1, 1), BoolFn(1, 2)], BoolFn(1, 3))
+
+    def wrong_once(premise_fns, h):
+        return real(premise_fns, h) + (Fraction(1, 8) if (premise_fns, h) == bad else 0)
+
+    monkeypatch.setattr(approxagg.theorems, "ic_conjunction", wrong_once)
+    total, violations, mismatches = sweep_mand(2, 1)
+    assert total == 4**3
+    assert mismatches == ["independent n=1 m=3;n=1:1;n=1:2;n=1:3"]
+
+
+def test_sweeps_enter_the_chunks_and_formulas_by_module_name(monkeypatch):
+    # wrappers set on these names of approxagg.theorems must see every chunk
+    # and one formula call per tuple: code that kept the functions bound
+    # elsewhere (a dict, a default argument) would bypass them
+    calls = dict.fromkeys(["_sweep_mand_chunk", "_sweep_mxor_chunk",
+                           "ic_conjunction", "ic_xor"], 0)
+    for name in calls:
+        def counting(*args, real=getattr(approxagg.theorems, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(approxagg.theorems, name, counting)
+    total = sweep_mand(1, 2, workers=1)[0]
+    assert calls["_sweep_mand_chunk"] >= 1 and calls["ic_conjunction"] == total == 16**2
+    total = sweep_mxor(3, 2, workers=1)[0]
+    assert calls["_sweep_mxor_chunk"] >= 1 and calls["ic_xor"] == total == 16**3
+
+
+def test_sweep_peak_memory_flat_in_the_issue_count():
+    # output rows come in blocks of a fixed size, so more issues (16 times
+    # the tuples per first table, 4 times the profiles) cost time, not memory
+    import tracemalloc
+
+    def peak(fn, *args):
+        fn(*args)   # builds the cached profile columns outside the measurement
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chunk = approxagg.theorems._sweep_mxor_chunk
+    small, large = peak(chunk, (3, 2, 0, 16)), peak(chunk, (4, 2, 0, 1))
+    assert large <= 1.5 * small, (small, large)
+
+    from approxagg.mechanism import independent_rows
+
+    def rows(k, tuples):
+        for _ in independent_rows(xor_agenda(k).expand(), 2, 0, tuples):
+            pass
+
+    small, large = peak(rows, 2, 16**3), peak(rows, 4, 16**4)
+    assert large <= 1.5 * small, (small, large)
 
 
 class _RecordingPool:
